@@ -12,6 +12,34 @@ namespace mrpf::exec {
 namespace {
 
 constexpr int kMaxLanes = 64;
+constexpr std::size_t kSlotFileBudgetBytes = 32 * 1024;
+
+// One 128-bit vector of lanes (SSE2 on baseline x86-64, NEON on AArch64).
+// Written with the GCC/Clang vector extension so the kernel runs vector
+// ops at any optimization level instead of relying on the loop
+// vectorizer, which leaves these loops scalar at -O2.
+typedef u64 V __attribute__((vector_size(16)));
+typedef i64 SV __attribute__((vector_size(16)));
+constexpr std::size_t kVecLanes = sizeof(V) / sizeof(u64);
+
+// Slots and the output window are i64 arrays read at arbitrary lane
+// offsets, so vectors move through memcpy (unaligned, alias-safe).
+V load(const i64* p) {
+  V v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store(i64* p, V v) { std::memcpy(p, &v, sizeof v); }
+
+// Arithmetic right shift of every lane.
+V shift_right(V v, int s) {
+  return reinterpret_cast<V>(reinterpret_cast<SV>(v) >> s);
+}
+
+std::size_t round_up_to_vector(std::size_t lanes) {
+  return (lanes + kVecLanes - 1) / kVecLanes * kVecLanes;
+}
 
 double now_ns() {
   return static_cast<double>(
@@ -23,93 +51,97 @@ double now_ns() {
 }  // namespace
 
 int default_lane_width(const ExecProgram& program) {
-  // 16 lanes fill a couple of AVX2/NEON vectors per op; fall back to 8
-  // when the slot file would spill past ~32 KiB of L1.
-  const int slots = std::max(1, program.n_slots);
-  return slots * 16 > 4096 ? 8 : 16;
+  // The widest block amortizes each op's loop overhead over 32 vectors;
+  // halve it while the slot file would outgrow a 32 KiB L1 data cache.
+  const std::size_t slots =
+      static_cast<std::size_t>(std::max(1, program.n_slots));
+  int lanes = kMaxLanes;
+  while (lanes > static_cast<int>(kVecLanes) &&
+         slots * static_cast<std::size_t>(lanes) * sizeof(i64) >
+             kSlotFileBudgetBytes) {
+    lanes /= 2;
+  }
+  return lanes;
 }
 
 ExecEngine::ExecEngine(const ExecProgram& program, int lanes)
     : program_(&program) {
   lanes_ = lanes > 0 ? lanes : default_lane_width(program);
   lanes_ = std::min(std::max(lanes_, 1), kMaxLanes);
+  stride_ = round_up_to_vector(static_cast<std::size_t>(lanes_));
   carry_ = program.n_taps > 0 ? program.n_taps - 1 : 0;
-  regs_.assign(static_cast<std::size_t>(std::max(1, program.n_slots)) *
-                   static_cast<std::size_t>(lanes_),
-               0);
-  acc_.assign(carry_ + static_cast<std::size_t>(lanes_) + 1, 0);
+  regs_.assign(
+      static_cast<std::size_t>(std::max(1, program.n_slots)) * stride_, 0);
+  acc_.assign(carry_ + stride_, 0);
 }
 
 void ExecEngine::reset() { std::fill(acc_.begin(), acc_.end(), 0); }
 
 void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
-  const int W = lanes_;
-  const std::size_t lanes = static_cast<std::size_t>(W);
+  // A block of m samples runs ceil(m / kVecLanes) vectors; n is that many
+  // lanes, m or m + 1 (<= stride_).
+  const std::size_t n = round_up_to_vector(m);
+  const auto slot = [regs = regs_.data(), stride = stride_](int s) {
+    return regs + static_cast<std::size_t>(s) * stride;
+  };
 
-  // Load the input block; lanes past m carry zero so the full-width op
-  // loops below compute zero contributions for them (0 in, 0 out).
-  i64* in = regs_.data() +
-            static_cast<std::size_t>(program_->input_slot) * lanes;
+  // Load the input block. A padding lane of an odd block carries zero, so
+  // the ops compute a zero contribution for it (0 in, 0 out).
+  i64* in = slot(program_->input_slot);
   std::memcpy(in, x, m * sizeof(i64));
-  if (m < lanes) std::memset(in + m, 0, (lanes - m) * sizeof(i64));
+  if (n > m) in[m] = 0;
 
   // Fused ops, lane-parallel. Wrap (unsigned) arithmetic: the compile-time
   // width analysis guarantees every true value fits int64, and mod-2^64
-  // arithmetic agrees with exact arithmetic on values that fit.
+  // arithmetic agrees with exact arithmetic on values that fit. dst may
+  // alias a or b: each vector is read before it is written.
   for (const ExecOp& op : program_->ops) {
-    i64* d = regs_.data() + static_cast<std::size_t>(op.dst) * lanes;
-    const i64* a = regs_.data() + static_cast<std::size_t>(op.a) * lanes;
-    const i64* b = regs_.data() + static_cast<std::size_t>(op.b) * lanes;
+    i64* d = slot(op.dst);
+    const i64* a = slot(op.a);
+    const i64* b = slot(op.b);
     const int sa = op.shift_a;
     const int sb = op.shift_b;
     if (op.subtract) {
-      for (int l = 0; l < W; ++l) {
-        d[l] = static_cast<i64>((static_cast<u64>(a[l]) << sa) -
-                                (static_cast<u64>(b[l]) << sb));
+      for (std::size_t l = 0; l < n; l += kVecLanes) {
+        store(d + l, (load(a + l) << sa) - (load(b + l) << sb));
       }
     } else {
-      for (int l = 0; l < W; ++l) {
-        d[l] = static_cast<i64>((static_cast<u64>(a[l]) << sa) +
-                                (static_cast<u64>(b[l]) << sb));
+      for (std::size_t l = 0; l < n; l += kVecLanes) {
+        store(d + l, (load(a + l) << sa) + (load(b + l) << sb));
       }
     }
   }
 
-  // Reset the working region of the output window; acc_[0, carry_) holds
-  // partial sums pending from previous blocks.
-  std::fill(acc_.begin() + static_cast<std::ptrdiff_t>(carry_), acc_.end(),
-            0);
+  // Clear the window's new region; acc_[0, carry_) holds partial sums
+  // pending from previous blocks.
+  std::fill_n(acc_.begin() + static_cast<std::ptrdiff_t>(carry_), n, 0);
 
-  // Each fused tap adds its W products into the window at its delay
+  // Each fused tap adds its n products into the window at its delay
   // offset: sample l's product for tap k lands on output (base + l + k).
   for (const ExecTap& tap : program_->taps) {
     i64* dst = acc_.data() + tap.position;
-    const i64* src = regs_.data() + static_cast<std::size_t>(tap.slot) * lanes;
+    const i64* src = slot(tap.slot);
     const int sh = tap.shift;
     if (sh >= 0) {
       if (tap.negate) {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) -
-                                    (static_cast<u64>(src[l]) << sh));
+        for (std::size_t l = 0; l < n; l += kVecLanes) {
+          store(dst + l, load(dst + l) - (load(src + l) << sh));
         }
       } else {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) +
-                                    (static_cast<u64>(src[l]) << sh));
+        for (std::size_t l = 0; l < n; l += kVecLanes) {
+          store(dst + l, load(dst + l) + (load(src + l) << sh));
         }
       }
     } else {
       // Negative fused shift only drops always-zero LSBs (graph
       // invariant), so the arithmetic right shift is exact division.
       if (tap.negate) {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) -
-                                    static_cast<u64>(src[l] >> -sh));
+        for (std::size_t l = 0; l < n; l += kVecLanes) {
+          store(dst + l, load(dst + l) - shift_right(load(src + l), -sh));
         }
       } else {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) +
-                                    static_cast<u64>(src[l] >> -sh));
+        for (std::size_t l = 0; l < n; l += kVecLanes) {
+          store(dst + l, load(dst + l) + shift_right(load(src + l), -sh));
         }
       }
     }

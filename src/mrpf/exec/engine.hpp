@@ -6,12 +6,14 @@
 //   load W input samples  ->  run the fused ops lane-parallel  ->  add each
 //   fused tap's W products into the window at its delay offset  ->  emit W
 //   outputs and slide the carry.
-// Every inner loop is a contiguous fixed-trip-count loop over the lanes —
-// exactly the shape compilers autovectorize — and all arithmetic is
-// unsigned 64-bit wrap, which the compiler proved exact for inputs up to
-// program.max_input_bits (see compile.cpp's width analysis). Outputs are
-// bit-identical to arch::TdfFilter::run sample for sample, across any
-// split of the stream into run() calls.
+// Every inner loop steps through the lanes in explicit 128-bit vectors of
+// two u64 lanes (the GCC/Clang vector extension), so it runs vector code
+// at -O2 without relying on the loop vectorizer. Each slot's lanes are
+// padded to whole vectors, and a short block of m samples runs ⌈m/2⌉
+// vectors. All arithmetic is unsigned 64-bit wrap, which the compiler
+// proved exact for inputs up to program.max_input_bits (see compile.cpp's
+// width analysis). Outputs are bit-identical to arch::TdfFilter::run
+// sample for sample, across any split of the stream into run() calls.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +23,8 @@
 
 namespace mrpf::exec {
 
-/// Lane width used when the caller passes 0: wide enough to fill vector
-/// units, narrowed when the slot file would outgrow L1.
+/// Lane width used when the caller passes 0: 64, halved while the slot
+/// file would outgrow a 32 KiB L1 data cache.
 int default_lane_width(const ExecProgram& program);
 
 class ExecEngine {
@@ -50,9 +52,10 @@ class ExecEngine {
 
   const ExecProgram* program_;
   int lanes_;
+  std::size_t stride_;       // lanes per slot, padded to whole vectors
   std::size_t carry_;        // pending-output count: n_taps - 1 (or 0)
-  std::vector<i64> regs_;    // slot file, slot-major: regs_[slot*lanes + l]
-  std::vector<i64> acc_;     // output window: carry_ + lanes entries used
+  std::vector<i64> regs_;    // slot file, slot-major: regs_[slot*stride_ + l]
+  std::vector<i64> acc_;     // output window: carry_ + stride_ entries
   core::StageTimers timers_;
 };
 

@@ -1,8 +1,8 @@
 // The compiled execution IR: a SynthPlan lowered for *software* instead of
 // hardware. Where lower_plan replays adder ops into an arch::AdderGraph to
 // be walked node by node per sample, the exec compiler flattens the same
-// ops into a register-slot program an inner loop can stream 8–16 samples
-// through at once:
+// ops into a register-slot program an inner loop can stream a block of up
+// to 64 samples through at once:
 //
 //   * dead-op elimination — ops no tap reaches are dropped entirely;
 //   * shift/negate fusion — each tap's wiring shift, output negation and

@@ -483,8 +483,9 @@ CaseResult run_case(const FuzzCase& c, const FuzzConfig& config) {
 
           exec::ExecConfig ec;
           ec.input_bits = c.input_bits;
-          // Lane widths 3..16 cross the block boundary at varying offsets.
-          ec.lanes = static_cast<int>(3 + rng.next_below(14));
+          // Lane width 0 (the default, 64) or 1..64: blocks end at varying
+          // offsets, odd widths mid-vector.
+          ec.lanes = static_cast<int>(rng.next_below(65));
           exec::StreamingFilter sf(f, ec);
 
           // Whole-stream push on a fresh filter.

@@ -788,6 +788,10 @@ TEST(Persist, ConcurrentSaversNeverCorruptTheSurvivingStore) {
   const u64 entries_a = a.stats().entries;
   const u64 entries_b = b.stats().entries;
   ASSERT_NE(entries_a, entries_b);  // so the loaded store is attributable
+  // Put a complete store in place before the race: otherwise a sample
+  // taken before any writer's first rename loads a missing file and
+  // counts it as torn.
+  ASSERT_TRUE(save_solve_cache(a, path));
 
   // Four writers hammer the path continuously (no lockstep — the whole
   // save IS the racy window), while the main thread samples the store.

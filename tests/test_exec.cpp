@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "mrpf/common/env.hpp"
@@ -14,6 +15,8 @@
 #include "mrpf/exec/compile.hpp"
 #include "mrpf/exec/engine.hpp"
 #include "mrpf/exec/streaming.hpp"
+#include "mrpf/filter/catalog.hpp"
+#include "mrpf/number/quantize.hpp"
 #include "mrpf/sim/workload.hpp"
 
 namespace mrpf::exec {
@@ -93,13 +96,71 @@ TEST(ExecEngine, MatchesInterpreterForEverySchemeAndLaneWidth) {
     const arch::TdfFilter f = make_filter(s);
     const std::vector<i64> expect = f.run(x);
     const ExecProgram p = compile(f);
-    for (const int lanes : {1, 3, 8, 16, 64}) {
+    // 0 resolves to the default width; odd widths end mid-vector.
+    for (const int lanes : {0, 1, 2, 3, 8, 16, 63, 64}) {
       ExecEngine engine(p, lanes);
-      EXPECT_EQ(engine.lanes(), lanes);
+      EXPECT_EQ(engine.lanes(), lanes > 0 ? lanes : default_lane_width(p));
       std::vector<i64> y(x.size());
       engine.run(x.data(), y.data(), x.size());
       EXPECT_EQ(y, expect) << core::to_string(s) << " lanes=" << lanes;
     }
+  }
+}
+
+TEST(ExecEngine, DefaultLaneWidthHalvesPastTheL1Budget) {
+  ExecProgram p;
+  // 64 lanes while the slot file fits 32 KiB (64 slots x 64 lanes x 8 B).
+  for (const int slots : {0, 1, 51, 64}) {
+    p.n_slots = slots;
+    EXPECT_EQ(default_lane_width(p), 64) << slots;
+  }
+  p.n_slots = 65;
+  EXPECT_EQ(default_lane_width(p), 32);
+  p.n_slots = 1000;
+  EXPECT_EQ(default_lane_width(p), 4);
+  // Never narrower than one vector.
+  p.n_slots = 1 << 20;
+  EXPECT_EQ(default_lane_width(p), 2);
+  // Every catalog filter keeps the full default width.
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    const ExecProgram c = compile(core::build_tdf(
+        number::quantize_maximal(filter::catalog_coefficients(i), 16),
+        core::Scheme::kMrp));
+    EXPECT_EQ(default_lane_width(c), 64) << "catalog filter " << i;
+  }
+}
+
+TEST(ExecEngine, NegativeFusedShiftsMatchInterpreterOnNegativeInputs) {
+  // One adder with an even fundamental, 6x = (x << 2) + (x << 1). Taps
+  // 3 and -3 read it shifted right by one (a negative fused shift, which
+  // no catalog filter produces), 6 reads it as is and 12 shifted left.
+  arch::MultiplierBlock block;
+  const int six = block.graph.add_op(0, 2, 0, 1, false);
+  ASSERT_EQ(block.graph.fundamental(six), 6);
+  const std::vector<i64> coeffs = {3, -3, 6, 0, 12};
+  block.constants = coeffs;
+  for (const i64 c : coeffs) {
+    const std::optional<arch::Tap> tap = block.graph.resolve(c);
+    ASSERT_TRUE(tap.has_value()) << c;
+    block.taps.push_back(*tap);
+  }
+  const arch::TdfFilter f(coeffs, {}, std::move(block));
+  const ExecProgram p = compile(f);
+  int negative_shifts = 0;
+  for (const ExecTap& t : p.taps) negative_shifts += t.shift < 0 ? 1 : 0;
+  EXPECT_EQ(negative_shifts, 2);
+
+  Rng rng(0xE7);
+  std::vector<i64> x = sim::uniform_stream(rng, 301, 16);
+  for (i64& v : x) v = -std::abs(v) - 1;  // strictly negative
+  const std::vector<i64> expect = f.run(x);
+  for (const int lanes : {1, 2, 3, 63, 64}) {
+    ExecEngine engine(p, lanes);
+    std::vector<i64> y(x.size());
+    // Two calls, so one block ends part-way through the lanes.
+    engine.run(x.data(), y.data(), 37);
+    engine.run(x.data() + 37, y.data() + 37, x.size() - 37);
+    EXPECT_EQ(y, expect) << "lanes=" << lanes;
   }
 }
 
