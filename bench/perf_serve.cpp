@@ -13,7 +13,7 @@
 //          answered coalesced or from the warm cache
 //   warm   replays the cold banks — 100% cache hits
 //
-// Every response is checked bit-identical (verify::plan_mismatch, timers
+// Every response is checked bit-identical (core::plan_mismatch, timers
 // excluded) to a direct in-process core::optimize_bank of the same
 // request — the daemon must never change an answer, only its latency.
 // Shutdown is exercised through the real signal path: raise(SIGTERM)
@@ -41,9 +41,9 @@
 
 #include "bench_util.hpp"
 #include "mrpf/common/rng.hpp"
+#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/serve/client.hpp"
 #include "mrpf/serve/server.hpp"
-#include "mrpf/verify/fuzz.hpp"
 
 namespace {
 
@@ -121,8 +121,7 @@ std::vector<Outcome> run_phase(const std::string& unix_path, int tcp_port,
           core::MrpOptions opts = requests[i].req.to_options();
           const core::SchemeResult direct = core::optimize_bank(
               requests[i].req.bank, requests[i].req.scheme, opts);
-          const auto mismatch =
-              verify::plan_mismatch(resp.plan, direct.plan);
+          const auto mismatch = core::plan_mismatch(resp.plan, direct.plan);
           if (mismatch.has_value()) {
             std::lock_guard<std::mutex> lk(failure_mu);
             failed.store(true);

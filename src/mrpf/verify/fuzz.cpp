@@ -12,6 +12,7 @@
 #include "mrpf/common/format.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/pass_manager.hpp"
+#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/core/scheme_driver.hpp"
 #include "mrpf/exec/streaming.hpp"
 #include "mrpf/io/json_report.hpp"
@@ -143,7 +144,7 @@ std::optional<std::string> recount_plan(const core::SynthPlan& plan,
 
 // The deep-equality helpers (cse/mrp/block/stream/plan mismatch) the
 // oracles lean on live in core/plan_equality — shared with the serve
-// bench and the gtest helpers, pulled in through fuzz.hpp.
+// bench and the gtest helpers.
 
 std::string join_i64(const std::vector<i64>& v) {
   std::string out;

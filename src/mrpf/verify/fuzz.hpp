@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "mrpf/core/flow.hpp"
-#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/core/scheme.hpp"
 
 namespace mrpf::verify {
@@ -204,14 +203,5 @@ std::string replay_command(const FuzzCase& c);
 
 /// The full harness: generate, verify, shrink failures, report.
 FuzzReport run_fuzz(const FuzzConfig& config);
-
-/// Field-for-field SynthPlan comparison (timers excluded — they are
-/// observability, not part of the solution). The definition moved to the
-/// shared core/plan_equality.hpp; this alias keeps the historical
-/// verify-spelled call sites working.
-inline std::optional<std::string> plan_mismatch(const core::SynthPlan& a,
-                                                const core::SynthPlan& b) {
-  return core::plan_mismatch(a, b);
-}
 
 }  // namespace mrpf::verify

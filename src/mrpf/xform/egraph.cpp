@@ -24,23 +24,52 @@ constexpr std::size_t kMaxCons = 24;
 /// fundamental range lower_plan enforces.
 constexpr int kHardBitLimit = 61;
 
-}  // namespace
+/// The class index: 2^11 = 2048 slots, 12x kMaxClasses, so the table is
+/// never more than 8% full and a miss usually ends at its first slot.
+constexpr int kIndexBits = 11;
+constexpr std::size_t kIndexSlots = std::size_t{1} << kIndexBits;
+constexpr std::int16_t kEmptySlot = -1;
+static_assert(kMaxClasses * 12 <= kIndexSlots &&
+              kMaxClasses <= std::numeric_limits<std::int16_t>::max());
 
-int EGraph::find_class(u64 value) const {
-  const auto it = index_.find(value);
-  return it == index_.end() ? -1 : it->second;
+/// Multiplicative (Fibonacci) hash: the top kIndexBits bits of
+/// value * 2^64/phi, which spread odd values of every width.
+std::size_t home_slot(u64 value) {
+  return static_cast<std::size_t>((value * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - kIndexBits));
 }
 
+}  // namespace
+
+std::size_t EGraph::probe(u64 value) const {
+  std::size_t slot = home_slot(value);
+  while (index_[slot] != kEmptySlot &&
+         values_[static_cast<std::size_t>(index_[slot])] != value) {
+    slot = (slot + 1) & (kIndexSlots - 1);
+  }
+  return slot;
+}
+
+int EGraph::find_class(u64 value) const { return index_[probe(value)]; }
+
 int EGraph::add_class(u64 value) {
-  const auto it = index_.find(value);
-  if (it != index_.end()) return it->second;
-  if (value == 0 || (value & 1) == 0) return -1;
+  // Every admitted value is odd and within the bit limit, so a value
+  // failing either test is never indexed.
+  if ((value & 1) == 0) return -1;
   if (std::bit_width(value) > static_cast<unsigned>(bit_limit_)) return -1;
-  if (values_.size() >= kMaxClasses) return -1;
+  const std::size_t slot = probe(value);
+  // A hit returns its class; a miss returns -1 once the cap is full.
+  if (index_[slot] != kEmptySlot || values_.size() >= kMaxClasses) {
+    return index_[slot];
+  }
+  return open_class(slot, value);
+}
+
+int EGraph::open_class(std::size_t slot, u64 value) {
   const int id = static_cast<int>(values_.size());
   values_.push_back(value);
   cons_.emplace_back();
-  index_.emplace(value, id);
+  index_[slot] = static_cast<std::int16_t>(id);
   return id;
 }
 
@@ -202,6 +231,7 @@ EGraph::EGraph(const std::vector<arch::AdderOp>& plan_ops,
   // what lets saturation reach a fixpoint.
   bit_limit_ = std::min(max_bits + 1, kHardBitLimit);
 
+  index_.assign(kIndexSlots, kEmptySlot);
   values_.reserve(kMaxClasses);
   cons_.reserve(kMaxClasses);
   add_class(1);  // class 0: the input x

@@ -17,12 +17,18 @@
 // their odd-form constructions where the raw op normalizes to one), the
 // tap targets with their CSD chains (factoring/CSD re-expression), and all
 // pairwise target sums/differences (the MRPF difference rule). Saturation
-// then closes the class set under the two forms, deterministically: rounds
-// combine every ordered class pair with at least one member admitted since
-// the previous round, shifts ascending, add before subtract, under a
-// step budget — identical inputs and budget give an identical graph on
-// every platform (no hashing order, no timing, no randomness is observable
-// in the result).
+// then applies the two forms, deterministically: rounds combine every
+// ordered class pair with at least one member admitted since the previous
+// round, shifts ascending, add before subtract, under a step budget —
+// identical inputs and budget give an identical graph on every platform
+// (no hashing order, no timing, no randomness is observable in the
+// result). A new value becomes a class only while the class cap is open.
+//
+// On real banks the class cap, not closure, bounds the class set: seeding
+// usually fills it, so most saturation candidates are misses the full cap
+// refuses (docs/architecture.md §2 has the measured mix). The class index
+// is one open-addressed table of class ids, so lookup and admission, hit
+// or miss, are each one short probe.
 //
 // Extraction finds the cheapest DAG realizing all targets: a Bellman fixed
 // point computes exact per-class tree costs, then a memoized greedy emit
@@ -82,24 +88,31 @@ class EGraph {
     Kind kind = Kind::kAdd;
   };
 
+  /// The index slot holding `value`, or the empty slot where it would go.
+  std::size_t probe(u64 value) const;
   int find_class(u64 value) const;  // -1 when absent
   /// Hash-consed admission: returns the class id of `value`, creating it
   /// when new and admissible (odd, within the bit limit, class cap not
-  /// hit); -1 when inadmissible.
-  int add_class(u64 value);
+  /// hit); -1 when inadmissible. It and admit_combination run twice per
+  /// saturation step, so both are inline (defined in egraph.cpp, their
+  /// only caller); opening a class is the out-of-line half.
+  inline int add_class(u64 value);
+  /// Appends `value` as a new class whose index slot is `slot`.
+  int open_class(std::size_t slot, u64 value);
   /// Adds a construction to `cls` unless it is a duplicate or the
   /// per-class cap is hit.
   void add_cons(int cls, const Cons& cons);
   /// Normalizes |±p ± (q << k)| into odd form and admits the resulting
   /// class and construction.
-  void admit_combination(int p_cls, bool p_neg, int q_cls, int k, bool q_neg);
+  inline void admit_combination(int p_cls, bool p_neg, int q_cls, int k,
+                                bool q_neg);
   void seed_from_ops(const std::vector<arch::AdderOp>& plan_ops);
   void seed_csd_chain(u64 target);
   void seed_target_pairs();
 
   std::vector<u64> values_;                 // class id -> odd value
   std::vector<std::vector<Cons>> cons_;     // class id -> constructions
-  std::unordered_map<u64, int> index_;      // odd value -> class id
+  std::vector<std::int16_t> index_;         // open-addressed; slot -> id or -1
   std::vector<u64> targets_;                // sorted, unique, odd
   int bit_limit_ = 0;                       // admission: bits(value) <= this
   std::size_t frontier_start_ = 0;          // first class of the next round

@@ -20,12 +20,12 @@
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/core/flow.hpp"
+#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/io/frame_assembler.hpp"
 #include "mrpf/serve/client.hpp"
 #include "mrpf/serve/inflight.hpp"
 #include "mrpf/serve/protocol.hpp"
 #include "mrpf/serve/server.hpp"
-#include "mrpf/verify/fuzz.hpp"
 
 namespace mrpf::serve {
 namespace {
@@ -255,7 +255,7 @@ TEST(Protocol, SynthResponseEmbedsAStandardPlanFrame) {
       decode_synth_response(encode_synth_response(resp));
   EXPECT_TRUE(back.cache_hit);
   EXPECT_TRUE(back.coalesced);
-  EXPECT_EQ(verify::plan_mismatch(back.plan, resp.plan), std::nullopt);
+  EXPECT_EQ(core::plan_mismatch(back.plan, resp.plan), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ TEST(Server, RoundTripsEverySchemeBitIdenticalToDirectSolves) {
     const SynthResponse resp = client.synth(req);
     const core::SchemeResult direct =
         core::optimize_bank(kPaperExample, scheme);
-    EXPECT_EQ(verify::plan_mismatch(resp.plan, direct.plan), std::nullopt)
+    EXPECT_EQ(core::plan_mismatch(resp.plan, direct.plan), std::nullopt)
         << core::to_string(scheme);
   }
 }
@@ -294,7 +294,7 @@ TEST(Server, SecondEquivalentRequestIsAWarmHit) {
   EXPECT_TRUE(second.cache_hit);
   const core::SchemeResult direct =
       core::optimize_bank(equiv.bank, core::Scheme::kMrp);
-  EXPECT_EQ(verify::plan_mismatch(second.plan, direct.plan), std::nullopt);
+  EXPECT_EQ(core::plan_mismatch(second.plan, direct.plan), std::nullopt);
 }
 
 TEST(Server, ThunderingHerdCoalescesToOneFreshSolve) {
@@ -344,8 +344,8 @@ TEST(Server, NoCoalesceStillAnswersBitIdentical) {
   const core::SchemeResult direct =
       core::optimize_bank(kPaperExample, core::Scheme::kMrpCse);
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(verify::plan_mismatch(plans[static_cast<std::size_t>(c)],
-                                    direct.plan),
+    EXPECT_EQ(core::plan_mismatch(plans[static_cast<std::size_t>(c)],
+                                  direct.plan),
               std::nullopt)
         << "client " << c;
   }
@@ -367,7 +367,7 @@ TEST(Server, SolverFailureBecomesAnErrorFrameAndNeverWedges) {
   good.bank = kPaperExample;
   good.scheme = core::Scheme::kMrp;
   const SynthResponse resp = client.synth(good);
-  EXPECT_EQ(verify::plan_mismatch(
+  EXPECT_EQ(core::plan_mismatch(
                 resp.plan,
                 core::optimize_bank(kPaperExample, core::Scheme::kMrp).plan),
             std::nullopt);
@@ -441,7 +441,7 @@ TEST(Server, WaiterDisconnectDoesNotPoisonTheServer) {
   req.scheme = core::Scheme::kMrp;
   const SynthResponse resp = polite.synth(req);
   EXPECT_EQ(
-      verify::plan_mismatch(
+      core::plan_mismatch(
           resp.plan,
           core::optimize_bank(req.bank, core::Scheme::kMrp).plan),
       std::nullopt);
@@ -555,7 +555,7 @@ TEST(Server, EnvKnobsAreSnapshottedOnceAtConfigTime) {
     direct.opt_budget = 50000;
     const core::SchemeResult expect =
         core::optimize_bank(kPaperExample, core::Scheme::kBnb, direct);
-    EXPECT_EQ(verify::plan_mismatch(resp.plan, expect.plan), std::nullopt);
+    EXPECT_EQ(core::plan_mismatch(resp.plan, expect.plan), std::nullopt);
   }
   ::unsetenv("MRPF_CACHE");
   ::unsetenv("MRPF_OPT_BUDGET");

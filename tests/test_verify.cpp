@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "mrpf/common/error.hpp"
+#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/core/scheme_driver.hpp"
 #include "mrpf/verify/fuzz.hpp"
 

@@ -2,22 +2,30 @@
 //
 // Two layers of coverage:
 //  - EGraph units: deterministic saturation/extraction, known identities
-//    the rewriter must find, and the odd-fundamental admission rules.
+//    the rewriter must find, the odd-fundamental admission rules, and a
+//    golden pin of saturate()/extract() on the Table-1 catalog banks.
 //  - The pass property, the contract everything downstream leans on:
 //    for every scheme, over seeded random banks, the pass-optimized plan
 //    re-lowers cleanly (every tap realizes its constant), streams
 //    bit-identically to the pass-off plan, and never costs more adders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mrpf/arch/adder_graph.hpp"
+#include "mrpf/common/hash.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
 #include "mrpf/core/pass_manager.hpp"
 #include "mrpf/core/plan_equality.hpp"
 #include "mrpf/core/scheme.hpp"
 #include "mrpf/core/stage_timers.hpp"
+#include "mrpf/filter/catalog.hpp"
+#include "mrpf/number/quantize.hpp"
 #include "mrpf/sim/workload.hpp"
 #include "mrpf/xform/egraph.hpp"
 
@@ -111,6 +119,186 @@ TEST(EGraph, BudgetZeroStillRealizesEveryTarget) {
   const xform::Extraction ex = graph.extract();
   for (const i64 t : targets) {
     EXPECT_TRUE(ex.node_of.count(t)) << "target " << t;
+  }
+}
+
+/// Sorted unique odd parts of a bank's non-zero constants: the targets
+/// the pass hands the e-graph (core/pass_manager.cpp).
+std::vector<i64> odd_targets(const std::vector<i64>& bank) {
+  std::vector<i64> targets;
+  for (const i64 c : bank) {
+    if (c != 0) targets.push_back(odd_part(c));
+  }
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  return targets;
+}
+
+/// Folds every field of `ops`, in order, into the FNV-1a digest `h`.
+u64 ops_digest(const std::vector<arch::AdderOp>& ops, u64 h) {
+  for (const arch::AdderOp& op : ops) {
+    h = fnv1a64_word(static_cast<u64>(op.a), h);
+    h = fnv1a64_word(static_cast<u64>(op.b), h);
+    h = fnv1a64_word(static_cast<u64>(op.shift_a), h);
+    h = fnv1a64_word(static_cast<u64>(op.shift_b), h);
+    h = fnv1a64_word(op.subtract ? 1 : 0, h);
+  }
+  return h;
+}
+
+/// FNV-1a digest of an extraction: every op field in order, then each
+/// target's node in ascending target order.
+u64 extraction_digest(const xform::Extraction& ex) {
+  u64 h = ops_digest(ex.ops, kFnvOffset);
+  std::vector<std::pair<i64, int>> nodes(ex.node_of.begin(), ex.node_of.end());
+  std::sort(nodes.begin(), nodes.end());
+  for (const auto& [target, node] : nodes) {
+    h = fnv1a64_word(static_cast<u64>(target), h);
+    h = fnv1a64_word(static_cast<u64>(node), h);
+  }
+  return h;
+}
+
+struct GoldenCase {
+  std::string name;
+  std::vector<arch::AdderOp> plan_ops;
+  std::vector<i64> targets;
+};
+
+/// The golden inputs: the folded W=16 maximal and W=12 uniform Table-1
+/// banks, each seeded with the mrpf driver's plan ops (seeding fills the
+/// class cap on every W=16 bank and on 4 of the W=12 banks; the rest fill
+/// it early in the first round), then three target sets with no plan.
+/// Those seed far below the cap, so saturation admits classes mid-round
+/// over several rounds ({5, 45} never reaches the cap), and the one above
+/// 2^40 gives the class index wide keys.
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  for (const bool maximal : {true, false}) {
+    for (int i = 0; i < 12; ++i) {
+      const std::vector<double>& h = filter::catalog_coefficients(i);
+      const number::QuantizedCoefficients q =
+          maximal ? number::quantize_maximal(h, 16)
+                  : number::quantize_uniform(h, 12);
+      const std::vector<i64> bank = core::optimization_bank(q.values());
+      const core::SchemeResult r =
+          core::optimize_bank(bank, core::Scheme::kMrp, core::MrpOptions{});
+      cases.push_back({(maximal ? "max16/" : "uni12/") + std::to_string(i),
+                       r.plan.ops, odd_targets(bank)});
+    }
+  }
+  cases.push_back({"{5,45}", {}, {5, 45}});
+  cases.push_back({"{3,11,45,105,999}", {}, {3, 11, 45, 105, 999}});
+  cases.push_back({"{2^41+2^17-1}", {}, {(i64{1} << 41) + (i64{1} << 17) - 1}});
+  return cases;
+}
+
+/// FNV-1a digest of every golden case's inputs: its seed plan ops, then
+/// its targets.
+u64 inputs_digest(const std::vector<GoldenCase>& cases) {
+  u64 h = kFnvOffset;
+  for (const GoldenCase& c : cases) {
+    h = ops_digest(c.plan_ops, h);
+    for (const i64 t : c.targets) h = fnv1a64_word(static_cast<u64>(t), h);
+  }
+  return h;
+}
+
+/// inputs_digest(golden_cases()) when the rows below were captured. The
+/// test checks it first, so a change to the mrpf driver's plans (or to
+/// the catalog or the quantizers) fails with its own message rather than
+/// as e-graph digest mismatches; such a change requires recapturing the
+/// rows.
+constexpr u64 kGoldenInputsDigest = 0x88a9bc5f6cfbaf38ULL;
+
+/// One pinned saturate()/extract() outcome.
+struct GoldenRun {
+  long long steps;
+  bool saturated;
+  std::size_t classes;
+  std::size_t ops;
+  u64 digest;  // extraction_digest
+};
+
+// Captured before the class index became an open-addressed table; every
+// later change to the index or the saturation loop must reproduce these
+// exactly. Rows follow golden_cases(), budget 10'000 (cuts the first
+// round) then 500'000 (reaches the fixpoint).
+const GoldenRun kGoldenRuns[] = {
+    {10000, false, 160, 28, 0xd02c0dd4261e2128ULL},  // max16/0 @10000
+    {166424, true, 160, 22, 0x1121bb9614f1542eULL},  // max16/0 @500000
+    {10000, false, 160, 38, 0xce46efacea35506bULL},  // max16/1 @10000
+    {157660, true, 160, 28, 0xdf63a114e03e87c2ULL},  // max16/1 @500000
+    {10000, false, 160, 38, 0x1bb83c68b3016177ULL},  // max16/2 @10000
+    {157005, true, 160, 32, 0xf31416ec3b874b83ULL},  // max16/2 @500000
+    {10000, false, 160, 42, 0x256e762b9597ac19ULL},  // max16/3 @10000
+    {156874, true, 160, 39, 0x661ab4aa90adbd6eULL},  // max16/3 @500000
+    {10000, false, 160, 51, 0x16b323bf010a0ab2ULL},  // max16/4 @10000
+    {162271, true, 160, 45, 0xb7052895648af407ULL},  // max16/4 @500000
+    {10000, false, 160, 65, 0x2e9baadabfacb0f0ULL},  // max16/5 @10000
+    {156278, true, 160, 49, 0xd982e0a611684a66ULL},  // max16/5 @500000
+    {10000, false, 160, 68, 0xf4ab7e67bd2010efULL},  // max16/6 @10000
+    {161479, true, 160, 54, 0xf61d6358f41c859cULL},  // max16/6 @500000
+    {10000, false, 160, 71, 0x2fc007cdd1991e5aULL},  // max16/7 @10000
+    {161810, true, 160, 57, 0x556758e571a833dcULL},  // max16/7 @500000
+    {10000, false, 160, 77, 0x70de341d7ef2555dULL},  // max16/8 @10000
+    {156071, true, 160, 67, 0xf1ce87b360d7c387ULL},  // max16/8 @500000
+    {10000, false, 160, 85, 0x8cb102dcc7256428ULL},  // max16/9 @10000
+    {158979, true, 160, 68, 0xe5d3ccef40b2f6caULL},  // max16/9 @500000
+    {10000, false, 160, 86, 0xfe0af97ffb3688adULL},  // max16/10 @10000
+    {150624, true, 160, 76, 0xa7c495352372d58dULL},  // max16/10 @500000
+    {10000, false, 160, 100, 0xc86903839815cc7dULL},  // max16/11 @10000
+    {144445, true, 160, 80, 0x943d46af94271459ULL},  // max16/11 @500000
+    {10000, false, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @10000
+    {89125, true, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @500000
+    {10000, false, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @10000
+    {101230, true, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @500000
+    {10000, false, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @10000
+    {103264, true, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @500000
+    {10000, false, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @10000
+    {98083, true, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @500000
+    {10000, false, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @10000
+    {103283, true, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @500000
+    {10000, false, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @10000
+    {99589, true, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @500000
+    {10000, false, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @10000
+    {97117, true, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @500000
+    {10000, false, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @10000
+    {111964, true, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @500000
+    {10000, false, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @10000
+    {103326, true, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @500000
+    {10000, false, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @10000
+    {109831, true, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @500000
+    {10000, false, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @10000
+    {106828, true, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @500000
+    {10000, false, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @10000
+    {110108, true, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @500000
+    {6112, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @10000
+    {6112, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @500000
+    {10000, false, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @10000
+    {76355, true, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @500000
+    {10000, false, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @10000
+    {387147, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @500000
+};
+
+TEST(EGraph, GoldenOnCatalogBanks) {
+  const std::vector<GoldenCase> cases = golden_cases();
+  ASSERT_EQ(inputs_digest(cases), kGoldenInputsDigest)
+      << "the seed plans changed (mrpf driver, catalog or quantizer), not "
+         "the e-graph; recapture kGoldenRuns from the new seeds";
+  ASSERT_EQ(std::size(kGoldenRuns), 2 * cases.size());
+  std::size_t row = 0;
+  for (const GoldenCase& c : cases) {
+    for (const long long budget : {10'000LL, 500'000LL}) {
+      const GoldenRun& want = kGoldenRuns[row++];
+      xform::EGraph graph(c.plan_ops, c.targets);
+      EXPECT_EQ(graph.saturate(budget), want.steps) << c.name << " @" << budget;
+      EXPECT_EQ(graph.saturated(), want.saturated) << c.name << " @" << budget;
+      EXPECT_EQ(graph.num_classes(), want.classes) << c.name << " @" << budget;
+      const xform::Extraction ex = graph.extract();
+      EXPECT_EQ(ex.ops.size(), want.ops) << c.name << " @" << budget;
+      EXPECT_EQ(extraction_digest(ex), want.digest) << c.name << " @" << budget;
+    }
   }
 }
 

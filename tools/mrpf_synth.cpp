@@ -95,6 +95,38 @@ std::vector<i64> parse_ints(const std::string& s) {
   return out;
 }
 
+/// Reports the e-graph pass: one line for each outcome the xform_fallback
+/// tag records (core/stage_timers.hpp), with the steps spent and the
+/// saturate and extract times. A cache hit rehydrates the plan with the
+/// timers of the solve that filled the entry, so the times are left out.
+void print_xform_pass(const core::SynthPlan& plan, bool cache_hit) {
+  const core::StageTimers& t = plan.timers;
+  char times[80] = "cached";
+  if (!cache_hit) {
+    std::snprintf(times, sizeof times, "saturate %.3f ms, extract %.3f ms",
+                  t.xform_saturate.ns * 1e-6, t.xform_extract.ns * 1e-6);
+  }
+  if (plan.xform.has_value()) {
+    std::printf("xform pass  : %d -> %d adders (%lld steps%s; %s)\n",
+                plan.xform->original_adders, plan.analytic_adders,
+                plan.xform->steps, plan.xform->saturated ? ", saturated" : "",
+                times);
+    return;
+  }
+  const char* outcome = nullptr;
+  switch (t.xform_fallback.items) {
+    case 1: outcome = "no win at the fixpoint"; break;
+    case 2: outcome = "budget exhausted"; break;
+    case 3: outcome = "rewrite failed to build or re-lower"; break;
+    default:
+      std::printf("xform pass  : did not run\n");
+      return;
+  }
+  std::printf("xform pass  : kept %d adders, %s (%llu steps; %s)\n",
+              plan.analytic_adders, outcome,
+              static_cast<unsigned long long>(t.xform_saturate.items), times);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,13 +284,12 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<i64> bank = core::optimization_bank(coefficients);
-    const core::SchemeResult opt = core::optimize_bank(bank, scheme, mrp_opts);
+    core::SolveInfo solve_info;
+    const core::SchemeResult opt =
+        core::optimize_bank(bank, scheme, mrp_opts, &solve_info);
     std::printf("%s\n", core::describe(opt, input_bits).c_str());
-    if (opt.plan.xform.has_value()) {
-      std::printf("xform pass  : %d -> %d adders (%lld steps%s)\n",
-                  opt.plan.xform->original_adders, opt.plan.analytic_adders,
-                  opt.plan.xform->steps,
-                  opt.plan.xform->saturated ? ", saturated" : "");
+    if (mrp_opts.passes.xform) {
+      print_xform_pass(opt.plan, solve_info.cache_hit);
     }
     if (opt.plan.mrp.has_value()) {
       std::fputs(core::describe(*opt.plan.mrp).c_str(), stdout);
