@@ -1,5 +1,6 @@
 #include "mrpf/dsp/window.hpp"
 
+#include <climits>
 #include <cmath>
 
 #include "mrpf/common/error.hpp"
@@ -61,8 +62,10 @@ double bessel_i0(double x) {
 std::vector<double> window_kaiser(int n, double beta) {
   MRPF_CHECK(n >= 1, "window_kaiser: length must be positive");
   MRPF_CHECK(beta >= 0.0, "window_kaiser: beta must be non-negative");
-  std::vector<double> w(static_cast<std::size_t>(n));
   const double denom = bessel_i0(beta);
+  MRPF_CHECK(std::isfinite(denom),
+             "window_kaiser: beta too large, I0(beta) overflows a double");
+  std::vector<double> w(static_cast<std::size_t>(n));
   const double mid = static_cast<double>(n - 1) / 2.0;
   for (int k = 0; k < n; ++k) {
     const double r = mid > 0.0 ? (static_cast<double>(k) - mid) / mid : 0.0;
@@ -86,7 +89,10 @@ int kaiser_length_for_spec(double atten_db, double delta_f) {
              "kaiser_length_for_spec: transition width outside (0,1)");
   // Kaiser: N ≈ (A - 7.95) / (2.285·Δω), Δω = π·delta_f.
   const double n = (atten_db - 7.95) / (2.285 * M_PI * delta_f) + 1.0;
-  return std::max(3, static_cast<int>(std::ceil(n)));
+  MRPF_CHECK(std::isfinite(n) && n <= static_cast<double>(INT_MAX),
+             "kaiser_length_for_spec: length estimate is not finite or "
+             "exceeds INT_MAX");
+  return n <= 3.0 ? 3 : static_cast<int>(std::ceil(n));
 }
 
 }  // namespace mrpf::dsp

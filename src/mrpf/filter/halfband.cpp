@@ -170,31 +170,40 @@ HalfbandCascadeDesign design_halfband_cascade(double fp, double delta) {
       const std::vector<double> g = design_halfband(n2, sub_atten);
       const std::vector<double> h = compose_halfband(f1, g);
 
-      double pb = 0.0;
-      double sb = 0.0;
-      for (int i = 0; i <= kGrid; ++i) {
-        const double f = fp * static_cast<double>(i) / kGrid;
-        pb = std::max(pb, std::abs(dsp::amplitude_response_at(h, f) - 1.0));
-        sb = std::max(sb,
-                      std::abs(dsp::amplitude_response_at(h, 1.0 - f)));
-      }
-      if (std::max(pb, sb) > delta) continue;
-
       int nonzero = 0;
       for (const double v : h) {
         if (v != 0.0) ++nonzero;
       }
-      if (!found || nonzero < best.nonzero_taps) {
-        best.f1 = f1;
-        best.subfilter = g;
-        best.h = h;
-        best.n1 = n1;
-        best.n2 = n2;
-        best.passband_deviation = pb;
-        best.stopband_deviation = sb;
-        best.nonzero_taps = nonzero;
-        found = true;
+      // Ties go to the earlier candidate, so one with no fewer taps than
+      // the best feasible design so far can never win: skip verifying it.
+      if (found && nonzero >= best.nonzero_taps) continue;
+
+      // Walk the grid from the band edge inward, where a candidate's error
+      // peaks, and stop at the first point out of spec: most losers fail
+      // within a few points. A feasible candidate is checked at every
+      // point, and a max over a fixed set of points does not depend on
+      // their order, so its deviations are the full-grid maxima.
+      double pb = 0.0;
+      double sb = 0.0;
+      bool feasible = true;
+      for (int i = kGrid; i >= 0 && feasible; --i) {
+        const double f = fp * static_cast<double>(i) / kGrid;
+        pb = std::max(pb, std::abs(dsp::amplitude_response_at(h, f) - 1.0));
+        sb = std::max(sb,
+                      std::abs(dsp::amplitude_response_at(h, 1.0 - f)));
+        feasible = std::max(pb, sb) <= delta;
       }
+      if (!feasible) continue;
+
+      best.f1 = f1;
+      best.subfilter = g;
+      best.h = h;
+      best.n1 = n1;
+      best.n2 = n2;
+      best.passband_deviation = pb;
+      best.stopband_deviation = sb;
+      best.nonzero_taps = nonzero;
+      found = true;
     }
   }
   MRPF_CHECK(found,

@@ -56,9 +56,12 @@ struct HalfbandCascadeDesign {
 /// |A| ≤ delta on [1 − fp, 1] (frequencies in the repo's f ∈ [0, 1],
 /// Nyquist = 1 convention, so the half-band symmetry pins the stopband
 /// edge at 1 − fp). Sweeps Kaiser–Hamming sharpening orders 1–4 against
-/// a grid of sub-filter lengths, verifies each candidate's response on a
-/// dense grid, and returns the feasible design with the fewest nonzero
-/// taps. Throws when no candidate meets the spec (loosen delta or fp).
+/// a grid of sub-filter lengths and returns the feasible design with the
+/// fewest nonzero taps. Ties go to the earlier candidate in sweep order:
+/// lower n1, then shorter n2. The reported deviations are the winner's
+/// maxima over its 513-point passband and stopband grids; a candidate
+/// that cannot win is never verified. Throws when no candidate meets the
+/// spec (loosen delta or fp).
 HalfbandCascadeDesign design_halfband_cascade(double fp, double delta);
 
 }  // namespace mrpf::filter

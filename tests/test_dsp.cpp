@@ -216,6 +216,24 @@ TEST(Windows, KaiserSpecHelpers) {
   EXPECT_GT(kaiser_length_for_spec(60.0, 0.02),
             kaiser_length_for_spec(60.0, 0.1));
   EXPECT_THROW(kaiser_length_for_spec(60.0, 0.0), Error);
+  // (1e12 − 7.95) / (2.285·π·0.1) + 1 ≈ 1.4e12 taps: no int holds it.
+  EXPECT_THROW(kaiser_length_for_spec(1e12, 0.1), Error);
+  EXPECT_THROW(kaiser_length_for_spec(INFINITY, 0.1), Error);
+  EXPECT_THROW(kaiser_length_for_spec(std::nan(""), 0.1), Error);
+  // A large negative estimate clamps to the minimum length.
+  EXPECT_EQ(kaiser_length_for_spec(-1e12, 0.1), 3);
+}
+
+TEST(Windows, KaiserRejectsOverflowingBeta) {
+  // The I0 series overflows a double just above beta = 13,588; the
+  // window would then be inf / inf = NaN.
+  EXPECT_TRUE(std::isfinite(bessel_i0(13500.0)));
+  EXPECT_FALSE(std::isfinite(bessel_i0(13700.0)));
+  for (const double v : window_kaiser(9, 13500.0)) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  EXPECT_THROW(window_kaiser(9, 13700.0), Error);
+  EXPECT_THROW(window_kaiser(9, INFINITY), Error);
 }
 
 TEST(Linalg, SolveKnownSystem) {

@@ -3,9 +3,11 @@
 // measurement, symmetry utilities, and the Table-1 catalog.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "mrpf/common/error.hpp"
+#include "mrpf/common/hash.hpp"
 #include "mrpf/dsp/freq_response.hpp"
 #include "mrpf/filter/butterworth.hpp"
 #include "mrpf/filter/catalog.hpp"
@@ -253,6 +255,20 @@ TEST(Kaiser, BandstopKeepsPassbandsAndNotches) {
   EXPECT_LT(std::abs(dsp::freq_response_at(h, 0.4)), 0.02);
 }
 
+TEST(Kaiser, RejectsAttenuationItCannotCompute) {
+  // Above about 123,000 dB the Kaiser window's I0(beta) overflows a
+  // double; the designer must throw, not return NaN taps.
+  EXPECT_THROW(design_kaiser(BandType::kLowPass, {0.2, 0.3}, 1e6, 31), Error);
+  EXPECT_THROW(design_kaiser(BandType::kLowPass, {0.2, 0.3}, INFINITY, 31),
+               Error);
+  // With num_taps = 0 the length estimate (about 1.4e12) overflows first.
+  EXPECT_THROW(design_kaiser(BandType::kLowPass, {0.2, 0.3}, 1e12), Error);
+  FilterSpec s = lowpass_spec(31, 0.2, 0.3);
+  s.method = DesignMethod::kKaiserWindow;
+  s.stopband_atten_db = 1e6;
+  EXPECT_THROW(design(s), Error);
+}
+
 TEST(Halfband, StructureAndResponse) {
   const auto h = design_halfband(31, 60.0);
   EXPECT_TRUE(is_halfband(h));
@@ -300,6 +316,12 @@ TEST(Halfband, DesignPreconditionsAreChecked) {
   EXPECT_THROW(design_halfband(7, -40.0), Error);
   EXPECT_THROW(design_halfband(7, std::nan("")), Error);
   EXPECT_THROW(design_halfband(7, INFINITY), Error);
+  // The Kaiser window cannot compute 1e6 dB (I0(beta) overflows); just
+  // below its limit of about 123,000 dB the taps are still finite.
+  EXPECT_THROW(design_halfband(7, 1e6), Error);
+  for (const double v : design_halfband(7, 1.2e5)) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(Halfband, IsHalfbandIgnoresMatchedZeroPadding) {
@@ -365,6 +387,69 @@ TEST(Halfband, CascadeDesignerMeetsSpec) {
   EXPECT_THROW(design_halfband_cascade(0.49, 1e-9), Error);
 }
 
+/// FNV-1a digest of a coefficient vector: each double's bit pattern, in
+/// order.
+u64 coeff_digest(const std::vector<double>& v) {
+  u64 h = kFnvOffset;
+  for (const double x : v) h = fnv1a64_word(std::bit_cast<u64>(x), h);
+  return h;
+}
+
+/// One pinned design_halfband_cascade outcome.
+struct CascadeGolden {
+  double fp;
+  double delta;
+  int n1;
+  int n2;
+  int nonzero_taps;
+  double passband_deviation;
+  double stopband_deviation;
+  u64 h;          // coeff_digest of each vector
+  u64 subfilter;
+  u64 f1;
+};
+
+// Captured before candidates that cannot win were skipped; every later
+// change to the designer must reproduce these exactly. (0.34, 2e-3) is
+// the benchmark's spec and (0.4, 1e-3) the filter-bank study's. At
+// (0.29, 5e-3) and (0.33, 1e-2) n1=2/n2=7 ties n1=1/n2=19 at 11 taps, and
+// at (0.41, 2e-4) n1=3/n2=19 ties n1=2/n2=31 at 47: the earlier candidate
+// wins. The last two winners are not the first feasible candidate.
+const CascadeGolden kCascadeGoldens[] = {
+    {0.34, 2e-3, 1, 23, 13, 0x1.a1f85dd982cp-10, 0x1.a1f85dd982e22p-10,
+     0xf323278a67abb62cULL, 0xf323278a67abb62cULL, 0xaab1693229ba1db8ULL},
+    {0.4, 1e-3, 1, 47, 25, 0x1.35113202eap-11, 0x1.35113202ea08fp-11,
+     0x416b591dd4255db8ULL, 0x416b591dd4255db8ULL, 0xaab1693229ba1db8ULL},
+    {0.29, 5e-3, 1, 19, 11, 0x1.39d27753fdap-9, 0x1.39d27753fd6efp-9,
+     0x2c7f361507d644d8ULL, 0x2c7f361507d644d8ULL, 0xaab1693229ba1db8ULL},
+    {0.33, 1e-2, 1, 19, 11, 0x1.fd5696905ccp-9, 0x1.fd5696905ce2fp-9,
+     0x19246f7fab4a87f8ULL, 0x19246f7fab4a87f8ULL, 0xaab1693229ba1db8ULL},
+    {0.41, 2e-4, 2, 31, 47, 0x1.a4a8e515dcp-14, 0x1.a4a8e515dc546p-14,
+     0xe524d5deb5df6e94ULL, 0x643c8505cfcb0fecULL, 0x5842668f91137f2dULL},
+    {0.35, 1e-6, 3, 19, 47, 0x1.3cd52da8p-21, 0x1.3cd52da5ef21ep-21,
+     0x066b97bc47469530ULL, 0x19246f7fab4a87f8ULL, 0x3ca746a6fc259f3eULL},
+    {0.33, 1e-8, 4, 19, 65, 0x1.14c9d4cp-27, 0x1.14c9d48d85358p-27,
+     0xd96c43a396b9d31cULL, 0x19246f7fab4a87f8ULL, 0xbe2743d9d2d62e3cULL},
+};
+
+TEST(Halfband, CascadeGolden) {
+  for (const CascadeGolden& g : kCascadeGoldens) {
+    SCOPED_TRACE(testing::Message() << "fp " << g.fp << ", delta " << g.delta);
+    const HalfbandCascadeDesign d = design_halfband_cascade(g.fp, g.delta);
+    EXPECT_EQ(d.n1, g.n1);
+    EXPECT_EQ(d.n2, g.n2);
+    EXPECT_EQ(d.nonzero_taps, g.nonzero_taps);
+    EXPECT_EQ(d.passband_deviation, g.passband_deviation);
+    EXPECT_EQ(d.stopband_deviation, g.stopband_deviation);
+    EXPECT_EQ(coeff_digest(d.h), g.h);
+    EXPECT_EQ(coeff_digest(d.subfilter), g.subfilter);
+    EXPECT_EQ(coeff_digest(d.f1), g.f1);
+  }
+  // No candidate meets these.
+  EXPECT_THROW(design_halfband_cascade(0.47, 2e-3), Error);
+  EXPECT_THROW(design_halfband_cascade(0.49, 0.05), Error);
+}
+
 TEST(Nyquist, StructuralZerosAndScaling) {
   const NyquistDesign d = design_nyquist(4, 3, 60.0);
   EXPECT_EQ(d.factor, 4);
@@ -410,6 +495,7 @@ TEST(Nyquist, PreconditionsAndNegativeCases) {
   EXPECT_THROW(design_nyquist(4, 3, 0.0), Error);
   EXPECT_THROW(design_nyquist(4, 3, std::nan("")), Error);
   EXPECT_THROW(design_nyquist(4, 3, INFINITY), Error);
+  EXPECT_THROW(design_nyquist(4, 3, 1e6), Error);  // I0(beta) overflows
   EXPECT_FALSE(is_nyquist({1.0, 2.0, 3.0}, 2));        // asymmetric
   EXPECT_FALSE(is_nyquist({}, 2));                     // empty
   EXPECT_FALSE(is_nyquist({0.1, 0.2, 0.1}, 1));        // factor < 2
