@@ -5,8 +5,8 @@
 //     only results[i] for the indices it claims, so output ordering — and
 //     therefore every downstream table — is identical to a serial run
 //     regardless of scheduling);
-//   * stages *inside* a solve (sharded color-graph construction, set-cover
-//     seeding) call `parallel_for` again on the same pool. Nested calls are
+//   * stages *inside* a solve (the MRP set-cover seeding) call
+//     `parallel_for` again on the same pool. Nested calls are
 //     safe: the calling worker publishes the inner loop as a new job, drains
 //     it inline itself, and any worker that is idle (or blocked waiting for
 //     its own job to finish) steals indices from it. There is never a second

@@ -1,19 +1,28 @@
 #include "mrpf/core/color_graph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "mrpf/common/error.hpp"
-#include "mrpf/common/parallel.hpp"
 #include "mrpf/core/sidc.hpp"
 
 namespace mrpf::core {
 
 namespace {
 
-/// Shared validation + l_max resolution for both builders. Returns l_max.
+/// 2·(l_max+1)·n·(n−1): the SIDC edge count (paper §3.1). prepare()
+/// checks that it fits an int.
+std::size_t edge_count(int n, int l_max) {
+  return n < 2 ? 0
+               : 2 * static_cast<std::size_t>(l_max + 1) *
+                     static_cast<std::size_t>(n) *
+                     static_cast<std::size_t>(n - 1);
+}
+
+/// Shared validation + l_max resolution for every builder. Returns l_max.
 int prepare(const std::vector<i64>& primaries,
             const ColorGraphOptions& options) {
   const int n = static_cast<int>(primaries.size());
@@ -38,6 +47,11 @@ int prepare(const std::vector<i64>& primaries,
     MRPF_CHECK(bit_width_abs(p) + l_max < 63,
                "color graph: primary << l_max would overflow i64");
   }
+  // Edge ids are ints: check the count before anything is sized by it.
+  const u64 pairs = static_cast<u64>(n) * static_cast<u64>(n > 0 ? n - 1 : 0);
+  MRPF_CHECK(pairs <= static_cast<u64>(std::numeric_limits<int>::max()) /
+                          (2 * static_cast<u64>(l_max + 1)),
+             "color graph: too many SIDC edges for an int edge id");
   return l_max;
 }
 
@@ -55,16 +69,13 @@ SidcEdge make_edge(int i, int j, int l, bool pred_negate, i64 xi) {
   return e;
 }
 
-/// Enumerates the edges of primary rows [row_begin, row_end) in canonical
-/// order (i outer, j inner, then l, then σ) into `out`, which must have
-/// room for exactly (row_end - row_begin) · 2·(l_max+1)·(n−1) edges. Both
-/// the serial builder (one shard covering every row) and the sharded
-/// builder (disjoint row blocks at closed-form offsets) use this, so the
-/// concatenated edge order is identical by construction.
-void enumerate_rows(const std::vector<i64>& primaries, int l_max,
-                    int row_begin, int row_end, SidcEdge* out) {
+/// Visits every SIDC edge in canonical order — i, then j ≠ i, then L, then
+/// σ (+ before −) — as fn(i, j, l, pred_negate, xi). An edge's position in
+/// this order is its id (sidc_edge inverts it).
+template <typename Fn>
+void for_each_edge(const std::vector<i64>& primaries, int l_max, Fn&& fn) {
   const int n = static_cast<int>(primaries.size());
-  for (int i = row_begin; i < row_end; ++i) {
+  for (int i = 0; i < n; ++i) {
     const i64 ci = primaries[static_cast<std::size_t>(i)];
     for (int j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -76,186 +87,193 @@ void enumerate_rows(const std::vector<i64>& primaries, int l_max,
           // ξ == 0 would mean cj is a shift of ci — impossible between
           // distinct primaries — so every edge carries a real color.
           MRPF_CHECK(xi != 0, "color graph: zero differential");
-          *out++ = make_edge(i, j, l, pred_negate, xi);
+          fn(i, j, l, pred_negate, xi);
         }
       }
     }
   }
 }
 
-/// Slices the color-sorted (color, edge-index) permutation into classes:
-/// boundary scan, per-class cost, bulk class_edges copy, and the deduped
-/// coverable-target pool. `pool` (nullable) parallelizes the per-class
-/// work; the output is identical either way because every class is
-/// processed independently and compaction runs in class order.
-void slice_classes(ColorGraph& g, const std::vector<std::pair<i64, int>>& keyed,
-                   const ColorGraphOptions& options, ThreadPool* pool) {
-  const std::size_t e = keyed.size();
-  g.class_edges.resize(e);
-  // Boundary scan: one class per maximal run of equal colors.
-  g.classes.clear();
-  for (std::size_t lo = 0; lo < e;) {
-    std::size_t hi = lo;
-    while (hi < e && keyed[hi].first == keyed[lo].first) ++hi;
-    ColorClass cls;
-    cls.color = keyed[lo].first;
-    cls.edges_begin = static_cast<int>(lo);
-    cls.edges_end = static_cast<int>(hi);
-    g.classes.push_back(cls);
-    lo = hi;
-  }
+/// One SIDC edge as the grouping sees it.
+struct KeyedEdge {
+  i64 color = 0;
+  int edge = 0;  // canonical enumeration index
+  int to = 0;    // target vertex
+};
 
-  // Per-class work: cost, the edge-id slice, and the deduped target list.
-  // Targets land in a scratch pool at the class's edges_begin offset (an
-  // exact upper bound on the deduped size), then compact in class order.
-  std::vector<int> scratch(e);
-  std::vector<int> cov_count(g.classes.size());
-  const auto fill_class = [&](std::size_t c) {
-    ColorClass& cls = g.classes[c];
-    cls.cost = number::nonzero_digits(cls.color, options.rep);
-    const std::size_t lo = static_cast<std::size_t>(cls.edges_begin);
-    const std::size_t hi = static_cast<std::size_t>(cls.edges_end);
-    for (std::size_t k = lo; k < hi; ++k) {
-      g.class_edges[k] = keyed[k].second;
-      scratch[k] = g.edges[static_cast<std::size_t>(keyed[k].second)].to;
+/// Steps 1–2 of stage A: enumerate only each edge's color (and target),
+/// then group the edges by color with a stable LSD radix sort, so equal
+/// colors keep enumeration order. Every color is odd, so bit 0 never
+/// orders two of them and the digits start at bit 1.
+std::vector<KeyedEdge> edges_by_color(const std::vector<i64>& primaries,
+                                      int l_max) {
+  std::vector<KeyedEdge> keyed;
+  keyed.reserve(edge_count(static_cast<int>(primaries.size()), l_max));
+  u64 color_bits = 0;
+  for_each_edge(primaries, l_max, [&](int, int j, int, bool, i64 xi) {
+    const i64 color = odd_part(xi);
+    color_bits |= static_cast<u64>(color);
+    keyed.push_back({color, static_cast<int>(keyed.size()), j});
+  });
+
+  // One histogram pass counts every digit; each scatter pass then places
+  // the edges by one digit, lowest first.
+  constexpr int kDigitBits = 11;
+  constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
+  constexpr std::size_t kBuckets = kDigitMask + 1;
+  const int key_bits =
+      std::max(0, static_cast<int>(std::bit_width(color_bits)) - 1);
+  const int digits = (key_bits + kDigitBits - 1) / kDigitBits;
+  std::vector<std::size_t> slots(static_cast<std::size_t>(digits) * kBuckets);
+  for (const KeyedEdge& e : keyed) {
+    u64 key = static_cast<u64>(e.color) >> 1;
+    for (int d = 0; d < digits; ++d, key >>= kDigitBits) {
+      ++slots[static_cast<std::size_t>(d) * kBuckets + (key & kDigitMask)];
     }
-    std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
-              scratch.begin() + static_cast<std::ptrdiff_t>(hi));
-    const auto last =
-        std::unique(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
-                    scratch.begin() + static_cast<std::ptrdiff_t>(hi));
-    cov_count[c] = static_cast<int>(
-        last - (scratch.begin() + static_cast<std::ptrdiff_t>(lo)));
-  };
-  if (pool != nullptr && pool->size() > 1 && g.classes.size() > 1) {
-    // Contiguous class blocks, one parallel index per block: coarse grain,
-    // deterministic because every class writes only its own slice.
-    const std::size_t blocks =
-        std::min<std::size_t>(g.classes.size(),
-                              static_cast<std::size_t>(pool->size()) * 4);
-    pool->parallel_for(blocks, [&](std::size_t b) {
-      const std::size_t lo = g.classes.size() * b / blocks;
-      const std::size_t hi = g.classes.size() * (b + 1) / blocks;
-      for (std::size_t c = lo; c < hi; ++c) fill_class(c);
-    });
-  } else {
-    for (std::size_t c = 0; c < g.classes.size(); ++c) fill_class(c);
   }
+  std::vector<KeyedEdge> scratch(keyed.size());
+  for (int d = 0; d < digits; ++d) {
+    const int shift = 1 + d * kDigitBits;
+    const auto digit = [shift](const KeyedEdge& e) {
+      return static_cast<std::size_t>((static_cast<u64>(e.color) >> shift) &
+                                      kDigitMask);
+    };
+    std::size_t* slot = slots.data() + static_cast<std::size_t>(d) * kBuckets;
+    // A digit every color shares cannot reorder anything.
+    if (slot[digit(keyed.front())] == keyed.size()) continue;
+    std::size_t next = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      next += std::exchange(slot[b], next);
+    }
+    for (const KeyedEdge& e : keyed) scratch[slot[digit(e)]++] = e;
+    keyed.swap(scratch);
+  }
+  return keyed;
+}
 
-  // Compaction: exclusive prefix sum of deduped sizes, then bulk copies.
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < g.classes.size(); ++c) {
-    g.classes[c].cov_begin = static_cast<int>(total);
-    total += static_cast<std::size_t>(cov_count[c]);
-    g.classes[c].cov_end = static_cast<int>(total);
+/// End of the run of equal colors that starts at keyed[lo].
+std::size_t run_end(const std::vector<KeyedEdge>& keyed, std::size_t lo) {
+  std::size_t hi = lo + 1;
+  while (hi < keyed.size() && keyed[hi].color == keyed[lo].color) ++hi;
+  return hi;
+}
+
+/// Appends the class of run keyed[lo, hi) to the pools: its edge ids in
+/// enumeration order and its distinct targets, sorted.
+ColorClass append_class(const std::vector<KeyedEdge>& keyed, std::size_t lo,
+                        std::size_t hi, int cost, std::vector<int>& edges,
+                        std::vector<int>& coverable) {
+  ColorClass cls;
+  cls.color = keyed[lo].color;
+  cls.cost = cost;
+  cls.edges_begin = static_cast<int>(edges.size());
+  cls.cov_begin = static_cast<int>(coverable.size());
+  for (std::size_t k = lo; k < hi; ++k) {
+    edges.push_back(keyed[k].edge);
+    coverable.push_back(keyed[k].to);
   }
-  g.class_coverable.resize(total);
-  for (std::size_t c = 0; c < g.classes.size(); ++c) {
-    const ColorClass& cls = g.classes[c];
-    std::copy_n(scratch.begin() + cls.edges_begin,
-                cls.num_coverable(),
-                g.class_coverable.begin() + cls.cov_begin);
-  }
+  const auto first = coverable.begin() + cls.cov_begin;
+  std::sort(first, coverable.end());
+  coverable.erase(std::unique(first, coverable.end()), coverable.end());
+  cls.edges_end = static_cast<int>(edges.size());
+  cls.cov_end = static_cast<int>(coverable.size());
+  return cls;
 }
 
 }  // namespace
 
-int ColorGraph::class_of(i64 color) const {
-  const auto it = std::lower_bound(
-      classes.begin(), classes.end(), color,
-      [](const ColorClass& cls, i64 c) { return cls.color < c; });
-  if (it == classes.end() || it->color != color) return -1;
-  return static_cast<int>(it - classes.begin());
-}
-
 ColorGraph build_color_graph(const std::vector<i64>& primaries,
-                             const ColorGraphOptions& options,
-                             ThreadPool* pool) {
+                             const ColorGraphOptions& options) {
   ColorGraph g;
   g.vertices = primaries;
-  const int n = static_cast<int>(primaries.size());
-  const int l_max = prepare(primaries, options);
-  g.l_max = l_max;
-
-  // Flat scheme: enumerate every edge into one exactly-sized contiguous
-  // vector, sort an index permutation by canonical color, and slice the
-  // runs into classes — no per-edge node allocation, no tree walk. With a
-  // pool, rows shard across workers: row i contributes exactly
-  // 2·(l_max+1)·(n−1) edges, so every shard writes a disjoint slice at a
-  // closed-form offset and the merged order equals the serial order.
-  const std::size_t row_stride = 2u * static_cast<std::size_t>(l_max + 1) *
-                                 static_cast<std::size_t>(n > 0 ? n - 1 : 0);
-  const std::size_t num_edges = static_cast<std::size_t>(n) * row_stride;
-  g.edges.resize(num_edges);
-  const bool sharded =
-      pool != nullptr && pool->size() > 1 && n > 1 && num_edges >= 1024;
-  const std::size_t shards =
-      sharded ? std::min<std::size_t>(static_cast<std::size_t>(n),
-                                      static_cast<std::size_t>(pool->size()) * 4)
-              : 1;
-  if (sharded) {
-    pool->parallel_for(shards, [&](std::size_t s) {
-      const int r0 = static_cast<int>(static_cast<std::size_t>(n) * s / shards);
-      const int r1 =
-          static_cast<int>(static_cast<std::size_t>(n) * (s + 1) / shards);
-      enumerate_rows(primaries, l_max, r0, r1,
-                     g.edges.data() + static_cast<std::size_t>(r0) * row_stride);
-    });
-  } else {
-    enumerate_rows(primaries, l_max, 0, n, g.edges.data());
+  g.l_max = prepare(primaries, options);
+  g.edges.reserve(edge_count(static_cast<int>(primaries.size()), g.l_max));
+  for_each_edge(primaries, g.l_max,
+                [&g](int i, int j, int l, bool pred_negate, i64 xi) {
+                  g.edges.push_back(make_edge(i, j, l, pred_negate, xi));
+                });
+  const std::vector<KeyedEdge> keyed = edges_by_color(primaries, g.l_max);
+  g.class_edges.reserve(keyed.size());
+  for (std::size_t lo = 0; lo < keyed.size();) {
+    const std::size_t hi = run_end(keyed, lo);
+    g.classes.push_back(append_class(
+        keyed, lo, hi, number::nonzero_digits(keyed[lo].color, options.rep),
+        g.class_edges, g.class_coverable));
+    lo = hi;
   }
-
-  // (color, edge index) keyed grouping; ties on index keep each class's
-  // edge list in enumeration order, exactly like the map-based reference.
-  // Keys are unique (the index), so the sorted permutation is the same
-  // total order no matter how — or on how many shards — it was sorted.
-  std::vector<std::pair<i64, int>> keyed(num_edges);
-  const auto fill_keys = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t ei = lo; ei < hi; ++ei) {
-      keyed[ei] = {g.edges[ei].color, static_cast<int>(ei)};
-    }
-  };
-  if (sharded) {
-    pool->parallel_for(shards, [&](std::size_t s) {
-      const std::size_t lo = num_edges * s / shards;
-      const std::size_t hi = num_edges * (s + 1) / shards;
-      fill_keys(lo, hi);
-      std::sort(keyed.begin() + static_cast<std::ptrdiff_t>(lo),
-                keyed.begin() + static_cast<std::ptrdiff_t>(hi));
-    });
-    // Ordered merge: pairwise inplace_merge rounds over the sorted blocks.
-    // Disjoint pairs merge in parallel; the block boundaries depend only
-    // on (num_edges, shards) and the final order is the unique sorted one.
-    std::vector<std::size_t> bounds;
-    for (std::size_t s = 0; s <= shards; ++s) {
-      bounds.push_back(num_edges * s / shards);
-    }
-    while (bounds.size() > 2) {
-      std::vector<std::size_t> next_bounds;
-      const std::size_t pairs = (bounds.size() - 1) / 2;
-      pool->parallel_for(pairs, [&](std::size_t p) {
-        const std::size_t lo = bounds[2 * p];
-        const std::size_t mid = bounds[2 * p + 1];
-        const std::size_t hi = bounds[2 * p + 2];
-        std::inplace_merge(keyed.begin() + static_cast<std::ptrdiff_t>(lo),
-                           keyed.begin() + static_cast<std::ptrdiff_t>(mid),
-                           keyed.begin() + static_cast<std::ptrdiff_t>(hi));
-      });
-      for (std::size_t b = 0; b < bounds.size(); b += 2) {
-        next_bounds.push_back(bounds[b]);
-      }
-      if (next_bounds.back() != bounds.back()) {
-        next_bounds.push_back(bounds.back());
-      }
-      bounds = std::move(next_bounds);
-    }
-  } else {
-    fill_keys(0, num_edges);
-    std::sort(keyed.begin(), keyed.end());
-  }
-
-  slice_classes(g, keyed, options, sharded ? pool : nullptr);
   return g;
+}
+
+CoverInstance build_cover_instance(const std::vector<i64>& primaries,
+                                   const ColorGraphOptions& options) {
+  CoverInstance inst;
+  inst.l_max = prepare(primaries, options);
+  const std::vector<KeyedEdge> keyed = edges_by_color(primaries, inst.l_max);
+  inst.num_edges = keyed.size();
+
+  // Step 3: classes reaching two or more targets are kept; of the classes
+  // whose edges all reach one target, each target keeps only its cheapest
+  // as the run [lo, hi). Colors ascend, so the strict `<` keeps the
+  // smallest color among equally cheap ones. Every class is priced, even
+  // the dropped ones: pricing is where an over-wide color throws.
+  struct OneTarget {
+    int cost = std::numeric_limits<int>::max();
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+  };
+  std::vector<OneTarget> best(primaries.size());
+  for (std::size_t lo = 0; lo < keyed.size();) {
+    const std::size_t hi = run_end(keyed, lo);
+    const int cost = number::nonzero_digits(keyed[lo].color, options.rep);
+    const int to = keyed[lo].to;
+    const bool one_target =
+        std::all_of(keyed.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                    keyed.begin() + static_cast<std::ptrdiff_t>(hi),
+                    [to](const KeyedEdge& e) { return e.to == to; });
+    if (!one_target) {
+      inst.classes.push_back(append_class(keyed, lo, hi, cost,
+                                          inst.class_edges,
+                                          inst.class_coverable));
+    } else if (cost < best[static_cast<std::size_t>(to)].cost) {
+      best[static_cast<std::size_t>(to)] = {cost, lo, hi};
+    }
+    lo = hi;
+  }
+
+  // Step 4: the candidates in color order — the multi-target classes
+  // merged with at most one one-target class per target.
+  const auto multi_end = static_cast<std::ptrdiff_t>(inst.classes.size());
+  for (const OneTarget& b : best) {
+    if (b.hi == 0) continue;  // target reached by no one-target class
+    inst.classes.push_back(append_class(keyed, b.lo, b.hi, b.cost,
+                                        inst.class_edges,
+                                        inst.class_coverable));
+  }
+  const auto by_color = [](const ColorClass& a, const ColorClass& b) {
+    return a.color < b.color;
+  };
+  std::sort(inst.classes.begin() + multi_end, inst.classes.end(), by_color);
+  std::inplace_merge(inst.classes.begin(), inst.classes.begin() + multi_end,
+                     inst.classes.end(), by_color);
+  return inst;
+}
+
+SidcEdge sidc_edge(const std::vector<i64>& primaries, int l_max, int index) {
+  const int n = static_cast<int>(primaries.size());
+  MRPF_CHECK(l_max >= 0 && index >= 0 &&
+                 static_cast<std::size_t>(index) < edge_count(n, l_max),
+             "sidc_edge: edge index out of range");
+  const int per_pair = 2 * (l_max + 1);
+  const int pair = index / per_pair;
+  const int i = pair / (n - 1);
+  const int j_skip = pair % (n - 1);  // j counted with i left out
+  const int j = j_skip < i ? j_skip : j_skip + 1;
+  const int l = index % per_pair / 2;
+  const bool pred_negate = index % 2 == 1;
+  const i64 shifted = primaries[static_cast<std::size_t>(i)] << l;
+  return make_edge(i, j, l, pred_negate,
+                   primaries[static_cast<std::size_t>(j)] -
+                       (pred_negate ? -shifted : shifted));
 }
 
 ColorGraph build_color_graph_reference(const std::vector<i64>& primaries,

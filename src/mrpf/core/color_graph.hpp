@@ -9,15 +9,12 @@
 // weighted-minimum-set-cover stage exploits.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "mrpf/common/bits.hpp"
 #include "mrpf/number/repr.hpp"
-
-namespace mrpf {
-class ThreadPool;
-}
 
 namespace mrpf::core {
 
@@ -33,10 +30,10 @@ struct SidcEdge {
 };
 
 /// One color class. Its edge list and coverable-target list are contiguous
-/// slices of ColorGraph::class_edges / ColorGraph::class_coverable — with
-/// hundreds of thousands of (mostly singleton) classes per solve, per-class
+/// slices of the owning graph's class_edges / class_coverable pools — with
+/// hundreds of thousands of (mostly singleton) classes per graph, per-class
 /// vectors were two heap allocations each and dominated construction time.
-/// Use ColorGraph::edge_ids() / coverable_ids() to view the slices.
+/// Use edge_ids() / coverable_ids() of the owner to view the slices.
 struct ColorClass {
   i64 color = 0;
   int cost = 0;         // nonzero digits of the color under rep
@@ -57,8 +54,6 @@ struct ColorGraph {
   std::vector<int> class_coverable; // per-class distinct targets, sorted
   int l_max = 0;
 
-  int class_of(i64 color) const;   // index into classes, or -1
-
   /// Indices into `edges` of one class, in enumeration order.
   std::span<const int> edge_ids(const ColorClass& cls) const {
     return {class_edges.data() + cls.edges_begin,
@@ -78,21 +73,15 @@ struct ColorGraphOptions {
   number::NumberRep rep = number::NumberRep::kSpt;
 };
 
-/// Flat construction: enumerate all edges into one pre-reserved vector,
-/// sort an index permutation by canonical color, slice the runs into
-/// contiguous classes. Allocation-light and cache-friendly; the hot path
-/// of every `mrp_optimize` call.
-///
-/// With a non-null `pool`, construction shards internally: row blocks of
-/// the edge enumeration write disjoint slices at closed-form offsets, the
-/// color permutation is block-sorted and merged in order, and the
-/// per-class cost/coverable work fans out over class blocks. Every shard
-/// writes only its own slice and the merge order is the unique sorted
-/// order, so the result is field-for-field identical to the serial build
-/// for every pool size (and to the map reference).
+/// The whole color graph: every SIDC edge and every color class with its
+/// cost and targets. Edges are enumerated in canonical order (i, then
+/// j ≠ i, then L, then σ) and grouped by color with a stable LSD radix
+/// sort, so each class lists its edges in enumeration order. The solver
+/// does not build it (see build_cover_instance); it serves inspection —
+/// the worked example, the perf benches and the tests. Field-for-field
+/// identical to build_color_graph_reference.
 ColorGraph build_color_graph(const std::vector<i64>& primaries,
-                             const ColorGraphOptions& options = {},
-                             ThreadPool* pool = nullptr);
+                             const ColorGraphOptions& options = {});
 
 /// The seed implementation's std::map-based grouping (per-color tree node
 /// and dynamically grown edge list), kept for differential tests and as
@@ -100,5 +89,43 @@ ColorGraph build_color_graph(const std::vector<i64>& primaries,
 /// identical to `build_color_graph`.
 ColorGraph build_color_graph_reference(const std::vector<i64>& primaries,
                                        const ColorGraphOptions& options = {});
+
+/// Stage A's set-cover instance (paper §3.2–3.3): the color classes the
+/// greedy can still pick, in the slice layout of ColorGraph. Edges are
+/// identified by their canonical enumeration index; sidc_edge() rebuilds
+/// one from its index.
+struct CoverInstance {
+  std::vector<ColorClass> classes;  // candidate classes, sorted by color
+  std::vector<int> class_edges;     // per-candidate edge ids, enumeration order
+  std::vector<int> class_coverable; // per-candidate distinct targets, sorted
+  std::size_t num_edges = 0;        // SIDC edges enumerated
+  int l_max = 0;
+
+  std::span<const int> edge_ids(const ColorClass& cls) const {
+    return {class_edges.data() + cls.edges_begin,
+            static_cast<std::size_t>(cls.num_edges())};
+  }
+  std::span<const int> coverable_ids(const ColorClass& cls) const {
+    return {class_coverable.data() + cls.cov_begin,
+            static_cast<std::size_t>(cls.num_coverable())};
+  }
+};
+
+/// The production stage-A instance: every class that reaches two or more
+/// targets, plus, per target, only its cheapest one-target class (lowest
+/// cost, then smallest color). A one-target class has live frequency 1
+/// until its target is covered and 0 after, and at equal frequency the
+/// greedy ranks by cost, then by color, for every β — so no other
+/// one-target class of that target can ever be picked, and dropping them
+/// leaves the greedy's pick sequence unchanged. Every class is still
+/// priced, so the inputs that throw are exactly those that throw in
+/// build_color_graph.
+CoverInstance build_cover_instance(const std::vector<i64>& primaries,
+                                   const ColorGraphOptions& options = {});
+
+/// SIDC edge `index` of the canonical enumeration over `primaries` with
+/// shifts up to `l_max` — the same edge build_color_graph stores at
+/// edges[index]. `index` must be below 2·(l_max+1)·M·(M−1).
+SidcEdge sidc_edge(const std::vector<i64>& primaries, int l_max, int index);
 
 }  // namespace mrpf::core

@@ -101,7 +101,7 @@ std::vector<SchemeResult> optimize_bank_batch(
   std::vector<SchemeResult> results(banks.size());
   ThreadPool pool;  // one pool for every stage of the batch
   MrpOptions eff = driver.canonical_options(options);
-  // Inner stages (the MRP color-graph/set-cover shards) reuse the fan-out
+  // Inner stages (the MRP set-cover seeding shards) reuse the fan-out
   // pool — nesting is safe and workers that run out of solves steal inner
   // shards. Schemes without intra-solve parallelism simply ignore it.
   eff.pool = &pool;

@@ -270,20 +270,36 @@ MrpResult mrp_optimize(const std::vector<i64>& constants,
   }
 
   // --- Stage A steps 3–5: color graph and greedy WMSC. ---
+  // The production engine builds only the classes the greedy can still
+  // pick (color_graph.hpp: build_cover_instance) and rebuilds an edge from
+  // its id; the reference engine builds the whole graph the seed way.
   const ColorGraphOptions cg_opts{options.l_max, options.rep};
   ColorGraph cg;
+  CoverInstance inst;
   {
     const StageStopwatch watch(r.timers.color_graph);
-    cg = options.use_reference_engine
-             ? build_color_graph_reference(r.vertices, cg_opts)
-             : build_color_graph(r.vertices, cg_opts, options.pool);
+    if (options.use_reference_engine) {
+      cg = build_color_graph_reference(r.vertices, cg_opts);
+    } else {
+      inst = build_cover_instance(r.vertices, cg_opts);
+    }
   }
-  r.timers.color_graph.items = static_cast<std::uint64_t>(cg.edges.size());
+  r.timers.color_graph.items = static_cast<std::uint64_t>(
+      options.use_reference_engine ? cg.edges.size() : inst.num_edges);
+  const std::vector<ColorClass>& classes =
+      options.use_reference_engine ? cg.classes : inst.classes;
+  const std::vector<int>& class_edges =
+      options.use_reference_engine ? cg.class_edges : inst.class_edges;
+  const auto edge_at = [&](int ei) {
+    return options.use_reference_engine
+               ? cg.edges[static_cast<std::size_t>(ei)]
+               : sidc_edge(r.vertices, inst.l_max, ei);
+  };
   // tie_key = color value: DESIGN.md's "ties: lower cost, then smaller
   // value" rule, explicit instead of leaning on class ordering. The hot
-  // path borrows each class's coverable slice straight out of the color
-  // graph (zero per-set allocations); the reference engine keeps the seed
-  // scheme of copying every element list into an owning CoverSet.
+  // path borrows each class's coverable slice straight out of the
+  // instance (zero per-set allocations); the reference engine keeps the
+  // seed scheme of copying every element list into an owning CoverSet.
   graph::SetCoverResult cover;
   {
     const StageStopwatch watch(r.timers.set_cover);
@@ -300,9 +316,9 @@ MrpResult mrp_optimize(const std::vector<i64>& constants,
           n, sets, graph::paper_benefit(options.beta));
     } else {
       std::vector<graph::CoverSetView> sets;
-      sets.reserve(cg.classes.size());
-      for (const ColorClass& cls : cg.classes) {
-        sets.push_back({cg.class_coverable.data() + cls.cov_begin,
+      sets.reserve(inst.classes.size());
+      for (const ColorClass& cls : inst.classes) {
+        sets.push_back({inst.class_coverable.data() + cls.cov_begin,
                         cls.num_coverable(), static_cast<double>(cls.cost),
                         cls.color});
       }
@@ -310,17 +326,18 @@ MrpResult mrp_optimize(const std::vector<i64>& constants,
           n, sets, graph::paper_benefit(options.beta), options.pool);
     }
   }
-  r.timers.set_cover.items = static_cast<std::uint64_t>(cg.classes.size());
+  r.timers.set_cover.items = static_cast<std::uint64_t>(classes.size());
   for (const int si : cover.chosen) {
-    r.solution_colors.push_back(
-        cg.classes[static_cast<std::size_t>(si)].color);
+    r.solution_colors.push_back(classes[static_cast<std::size_t>(si)].color);
   }
 
   // --- Cover sub-graph: all edges of the selected color classes. ---
   graph::Digraph sub(n);
   for (const int si : cover.chosen) {
-    for (const int ei : cg.edge_ids(cg.classes[static_cast<std::size_t>(si)])) {
-      const SidcEdge& e = cg.edges[static_cast<std::size_t>(ei)];
+    const ColorClass& cls = classes[static_cast<std::size_t>(si)];
+    for (int k = cls.edges_begin; k < cls.edges_end; ++k) {
+      const int ei = class_edges[static_cast<std::size_t>(k)];
+      const SidcEdge e = edge_at(ei);
       sub.add_edge(e.from, e.to, 1.0, ei);
     }
   }
@@ -368,10 +385,8 @@ MrpResult mrp_optimize(const std::vector<i64>& constants,
            depth[static_cast<std::size_t>(b)];
   });
   for (const int v : by_depth) {
-    r.tree_edges.push_back(
-        {cg.edges[static_cast<std::size_t>(
-             parent_edge[static_cast<std::size_t>(v)])],
-         depth[static_cast<std::size_t>(v)]});
+    r.tree_edges.push_back({edge_at(parent_edge[static_cast<std::size_t>(v)]),
+                            depth[static_cast<std::size_t>(v)]});
   }
   r.overhead_adders = static_cast<int>(r.tree_edges.size());
 
@@ -454,12 +469,12 @@ std::vector<std::vector<std::size_t>> solve_groups(
 std::vector<MrpResult> mrp_optimize_batch(const std::vector<MrpBatchJob>& jobs) {
   // Outer grain: one index group per solve (see solve_groups). Inner
   // grain: every solve hands the same pool down through options.pool, so
-  // the sharded color-graph and set-cover stages of a large solve are
-  // stolen by workers that have run out of solves — the pool is
-  // nesting-safe and never oversubscribed. Each worker writes only the
-  // results[i] of the group it claimed, and the inner stages are
-  // shard-count-independent, so the batch stays bit-identical to a serial
-  // loop for every thread count, with or without a cache.
+  // the sharded set-cover seeding of a large solve is stolen by workers
+  // that have run out of solves — the pool is nesting-safe and never
+  // oversubscribed. Each worker writes only the results[i] of the group it
+  // claimed, and the seeding is shard-count-independent, so the batch
+  // stays bit-identical to a serial loop for every thread count, with or
+  // without a cache.
   std::vector<MrpResult> results(jobs.size());
   ThreadPool pool;
   std::vector<MrpOptions> opts(jobs.size());

@@ -75,10 +75,11 @@ struct MrpOptions {
   /// Differential testing and perf baselines only — the result is
   /// bit-identical either way, just slower.
   bool use_reference_engine = false;
-  /// Intra-solve parallelism: when non-null, the color-graph build and the
-  /// set-cover seeding shard their work across this pool. The result is
-  /// bit-identical to pool == nullptr for every pool size (see
-  /// color_graph.hpp / set_cover.hpp); only wall time changes. Nested use
+  /// Intra-solve parallelism: when non-null, the set-cover seeding (the
+  /// benefit scoring of every candidate class) shards its work across this
+  /// pool once an instance has enough classes. The result is bit-identical
+  /// to pool == nullptr for every pool size (see set_cover.hpp); only wall
+  /// time changes. The color-graph stage always runs serially. Nested use
   /// is safe — mrp_optimize_batch hands its own fan-out pool down here and
   /// the pool runs nested loops inline with work stealing. Borrowed, never
   /// owned; must outlive the call.

@@ -30,7 +30,10 @@ struct StageSample {
 struct StageTimers {
   StageSample primaries;       // items: primary vertices extracted
   StageSample color_graph;     // items: SIDC edges enumerated
-  StageSample set_cover;       // items: color classes (cover sets) scored
+  /// items: cover sets scored — the candidate classes the greedy was
+  /// given, which in the production engine excludes the one-target
+  /// classes that can never be picked (see build_cover_instance)
+  StageSample set_cover;
   StageSample tree_growth;     // items: roots selected
   StageSample seed_synthesis;  // items: SEED values costed
   StageSample optimize;        // whole driver optimize; items: bank size

@@ -39,9 +39,9 @@ struct CoverSet {
 };
 
 /// Non-owning variant of CoverSet: the element list is a borrowed slice.
-/// MRP builds its cover instance directly over the color graph's
-/// contiguous class_coverable pool, so hundreds of thousands of sets cost
-/// zero allocations instead of one vector copy each.
+/// MRP builds its cover sets directly over the cover instance's
+/// contiguous class_coverable pool, so thousands of sets cost zero
+/// allocations instead of one vector copy each.
 struct CoverSetView {
   const int* elements = nullptr;  // borrowed; must outlive the call
   int size = 0;

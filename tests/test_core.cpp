@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 
 #include "mrpf/baseline/simple.hpp"
@@ -13,10 +14,13 @@
 #include "mrpf/core/color_graph.hpp"
 #include "mrpf/common/parallel.hpp"
 #include "mrpf/common/rng.hpp"
+#include "mrpf/core/flow.hpp"
 #include "mrpf/core/mrp.hpp"
 #include "mrpf/core/scheme_driver.hpp"
 #include "mrpf/core/sidc.hpp"
 #include "mrpf/core/synth_plan.hpp"
+#include "mrpf/filter/catalog.hpp"
+#include "mrpf/number/quantize.hpp"
 
 #include "mrp_equality.hpp"
 
@@ -352,6 +356,35 @@ std::vector<i64> random_primaries(Rng& rng, int count, int wordlength) {
   return {vals.begin(), vals.end()};
 }
 
+bool same_edge(const SidcEdge& x, const SidcEdge& y) {
+  return x.from == y.from && x.to == y.to && x.l == y.l &&
+         x.pred_negate == y.pred_negate && x.xi == y.xi &&
+         x.color == y.color && x.color_shift == y.color_shift &&
+         x.color_negate == y.color_negate;
+}
+
+/// Field-for-field equality of two color graphs (every edge, class, and
+/// pool entry).
+void expect_same_color_graph(const ColorGraph& a, const ColorGraph& b) {
+  ASSERT_EQ(a.vertices, b.vertices);
+  ASSERT_EQ(a.l_max, b.l_max);
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t e = 0; e < a.edges.size(); ++e) {
+    ASSERT_TRUE(same_edge(a.edges[e], b.edges[e])) << "edge " << e;
+  }
+  ASSERT_EQ(a.class_edges, b.class_edges);
+  ASSERT_EQ(a.class_coverable, b.class_coverable);
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t c = 0; c < a.classes.size(); ++c) {
+    const ColorClass& x = a.classes[c];
+    const ColorClass& y = b.classes[c];
+    ASSERT_TRUE(x.color == y.color && x.cost == y.cost &&
+                x.edges_begin == y.edges_begin && x.edges_end == y.edges_end &&
+                x.cov_begin == y.cov_begin && x.cov_end == y.cov_end)
+        << "class " << c;
+  }
+}
+
 TEST(ColorGraph, FlatMatchesMapReferenceFieldForField) {
   Rng rng(0x51DC);
   for (int trial = 0; trial < 24; ++trial) {
@@ -361,31 +394,60 @@ TEST(ColorGraph, FlatMatchesMapReferenceFieldForField) {
         random_primaries(rng, count, wordlength);
     ColorGraphOptions opts;
     opts.rep = trial % 2 == 0 ? NumberRep::kSpt : NumberRep::kSignMagnitude;
-    const ColorGraph flat = build_color_graph(primaries, opts);
-    const ColorGraph ref = build_color_graph_reference(primaries, opts);
+    expect_same_color_graph(build_color_graph(primaries, opts),
+                            build_color_graph_reference(primaries, opts));
+  }
+}
 
-    ASSERT_EQ(flat.vertices, ref.vertices);
-    ASSERT_EQ(flat.l_max, ref.l_max);
-    ASSERT_EQ(flat.edges.size(), ref.edges.size());
-    for (std::size_t e = 0; e < flat.edges.size(); ++e) {
-      const SidcEdge& a = flat.edges[e];
-      const SidcEdge& b = ref.edges[e];
-      ASSERT_TRUE(a.from == b.from && a.to == b.to && a.l == b.l &&
-                  a.pred_negate == b.pred_negate && a.xi == b.xi &&
-                  a.color == b.color && a.color_shift == b.color_shift &&
-                  a.color_negate == b.color_negate)
+TEST(ColorGraph, CoverInstanceKeepsExactlyTheClassesThatCanBePicked) {
+  // Against the whole graph: every class reaching two or more targets is
+  // kept as it is, and of each target's one-target classes only the
+  // cheapest (then the smallest color) is. Edge ids name the same edges.
+  Rng rng(0xC0DE);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int wordlength = static_cast<int>(rng.next_int(4, 16));
+    // At most as many primaries as there are odd values below 2^wordlength.
+    const int count = static_cast<int>(
+        rng.next_int(1, std::min(14, 1 << (wordlength - 1))));
+    const std::vector<i64> primaries =
+        random_primaries(rng, count, wordlength);
+    ColorGraphOptions opts;
+    opts.rep = trial % 2 == 0 ? NumberRep::kSpt : NumberRep::kSignMagnitude;
+    const ColorGraph g = build_color_graph(primaries, opts);
+    const CoverInstance inst = build_cover_instance(primaries, opts);
+    ASSERT_EQ(inst.l_max, g.l_max);
+    ASSERT_EQ(inst.num_edges, g.edges.size());
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      ASSERT_TRUE(same_edge(
+          sidc_edge(primaries, g.l_max, static_cast<int>(e)), g.edges[e]))
           << "edge " << e;
     }
-    ASSERT_EQ(flat.class_edges, ref.class_edges);
-    ASSERT_EQ(flat.class_coverable, ref.class_coverable);
-    ASSERT_EQ(flat.classes.size(), ref.classes.size());
-    for (std::size_t c = 0; c < flat.classes.size(); ++c) {
-      const ColorClass& a = flat.classes[c];
-      const ColorClass& b = ref.classes[c];
-      ASSERT_TRUE(a.color == b.color && a.cost == b.cost &&
-                  a.edges_begin == b.edges_begin &&
-                  a.edges_end == b.edges_end && a.cov_begin == b.cov_begin &&
-                  a.cov_end == b.cov_end)
+
+    std::vector<const ColorClass*> expected;
+    std::map<int, const ColorClass*> cheapest;  // per target
+    for (const ColorClass& cls : g.classes) {   // ascending color
+      if (cls.num_coverable() > 1) {
+        expected.push_back(&cls);
+        continue;
+      }
+      const ColorClass*& best = cheapest[g.coverable_ids(cls)[0]];
+      if (best == nullptr || cls.cost < best->cost) best = &cls;
+    }
+    for (const auto& [target, cls] : cheapest) expected.push_back(cls);
+    std::sort(expected.begin(), expected.end(),
+              [](const ColorClass* a, const ColorClass* b) {
+                return a->color < b->color;
+              });
+    ASSERT_EQ(inst.classes.size(), expected.size());
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      const ColorClass& got = inst.classes[c];
+      const ColorClass& want = *expected[c];
+      EXPECT_EQ(got.color, want.color) << "class " << c;
+      EXPECT_EQ(got.cost, want.cost) << "class " << c;
+      EXPECT_TRUE(std::ranges::equal(inst.edge_ids(got), g.edge_ids(want)))
+          << "class " << c;
+      EXPECT_TRUE(std::ranges::equal(inst.coverable_ids(got),
+                                     g.coverable_ids(want)))
           << "class " << c;
     }
   }
@@ -413,6 +475,97 @@ TEST(Mrp, OptimizedEngineMatchesReferenceEngine) {
   }
 }
 
+TEST(Mrp, OptimizedEngineMatchesReferenceOverTheOptionSpace) {
+  // Stage A hands set cover only the classes that can still be picked.
+  // Which classes those are depends on every option that reaches the
+  // greedy (rep prices the classes, β weighs price against frequency) or
+  // shapes the graph (l_max), so the solve is pinned field for field
+  // against the reference engine over all of them, on the catalog banks
+  // (up to 51 primaries) and on random banks down to one tap.
+  std::vector<std::vector<i64>> banks;
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    const std::vector<double>& h = filter::catalog_coefficients(i);
+    banks.push_back(
+        optimization_bank(number::quantize_maximal(h, 16).values()));
+    banks.push_back(
+        optimization_bank(number::quantize_uniform(h, 12).values()));
+  }
+  Rng rng(0x0A11);
+  for (int trial = 0; trial < 96; ++trial) {
+    const int taps = static_cast<int>(rng.next_int(1, 40));
+    const int wordlength = static_cast<int>(rng.next_int(2, 18));
+    const i64 limit = (i64{1} << (wordlength - 1)) - 1;
+    std::vector<i64> bank;
+    for (int t = 0; t < taps; ++t) bank.push_back(rng.next_int(-limit, limit));
+    banks.push_back(std::move(bank));
+  }
+  const double betas[] = {0.0, 0.25, 0.5, 1.0};
+  for (std::size_t b = 0; b < banks.size(); ++b) {
+    for (const NumberRep rep :
+         {NumberRep::kSpt, NumberRep::kCsd, NumberRep::kSignMagnitude}) {
+      MrpOptions opts;
+      opts.rep = rep;
+      opts.beta = betas[rng.next_below(4)];
+      opts.depth_limit = static_cast<int>(rng.next_int(0, 3));
+      opts.l_max = rng.next_below(2) == 0 ? -1
+                                          : static_cast<int>(rng.next_int(0, 6));
+      opts.recursive_levels = static_cast<int>(rng.next_int(0, 2));
+      opts.cse_on_seed = rng.next_below(2) == 0;
+      MrpOptions ref_opts = opts;
+      ref_opts.use_reference_engine = true;
+      SCOPED_TRACE(testing::Message()
+                   << "bank " << b << " rep " << number::to_string(rep)
+                   << " beta " << opts.beta << " depth " << opts.depth_limit
+                   << " l_max " << opts.l_max << " recursive "
+                   << opts.recursive_levels << " cse " << opts.cse_on_seed);
+      expect_same_mrp_result(mrp_optimize(banks[b], opts),
+                             mrp_optimize(banks[b], ref_opts));
+    }
+  }
+}
+
+TEST(Mrp, SolverThrowsWhereTheReferenceEngineThrows) {
+  // The solver must reject exactly the inputs the reference engine
+  // rejects, with the same error, even where stage A never builds the
+  // full color graph. Every class of this two-primary bank has one target,
+  // so the CSD case also pins that dropped classes are still priced.
+  const std::vector<i64> bank = {3, (i64{1} << 57) + 1};  // bit widths 2, 58
+  const auto solve_error = [&bank](MrpOptions opts) -> std::string {
+    try {
+      mrp_optimize(bank, opts);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  MrpOptions opts;
+  opts.rep = NumberRep::kSignMagnitude;
+  opts.l_max = 4;  // 58 + 4 == 62: the widest legal shift
+  MrpOptions ref_opts = opts;
+  ref_opts.use_reference_engine = true;
+  expect_same_mrp_result(mrp_optimize(bank, opts),
+                         mrp_optimize(bank, ref_opts));
+
+  // Under SPT a differential past 2^61 is too wide to price in CSD.
+  opts.rep = ref_opts.rep = NumberRep::kSpt;
+  const std::string csd_error = solve_error(opts);
+  EXPECT_NE(csd_error.find("CSD conversion operand too large"),
+            std::string::npos)
+      << csd_error;
+  EXPECT_EQ(csd_error, solve_error(ref_opts));
+
+  // 58 + 5 == 63: the shift itself would overflow, under any rep.
+  for (const NumberRep rep : {NumberRep::kSpt, NumberRep::kSignMagnitude}) {
+    opts.rep = ref_opts.rep = rep;
+    opts.l_max = ref_opts.l_max = 5;
+    const std::string shift_error = solve_error(opts);
+    EXPECT_NE(shift_error.find("primary << l_max would overflow i64"),
+              std::string::npos)
+        << shift_error;
+    EXPECT_EQ(shift_error, solve_error(ref_opts));
+  }
+}
+
 TEST(Mrp, BatchIsDeterministicAcrossThreadCounts) {
   // mrp_optimize_batch reads MRPF_THREADS through the pool: the results
   // must be bit-identical for 1 and 4 threads (deterministic ordering).
@@ -433,35 +586,6 @@ TEST(Mrp, BatchIsDeterministicAcrossThreadCounts) {
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     expect_same_mrp_result(one[i], four[i]);
-  }
-}
-
-/// Field-for-field equality of two color graphs (every edge, class, and
-/// pool entry), shared by the reference-differential and pooled-build
-/// tests.
-void expect_same_color_graph(const ColorGraph& a, const ColorGraph& b) {
-  ASSERT_EQ(a.vertices, b.vertices);
-  ASSERT_EQ(a.l_max, b.l_max);
-  ASSERT_EQ(a.edges.size(), b.edges.size());
-  for (std::size_t e = 0; e < a.edges.size(); ++e) {
-    const SidcEdge& x = a.edges[e];
-    const SidcEdge& y = b.edges[e];
-    ASSERT_TRUE(x.from == y.from && x.to == y.to && x.l == y.l &&
-                x.pred_negate == y.pred_negate && x.xi == y.xi &&
-                x.color == y.color && x.color_shift == y.color_shift &&
-                x.color_negate == y.color_negate)
-        << "edge " << e;
-  }
-  ASSERT_EQ(a.class_edges, b.class_edges);
-  ASSERT_EQ(a.class_coverable, b.class_coverable);
-  ASSERT_EQ(a.classes.size(), b.classes.size());
-  for (std::size_t c = 0; c < a.classes.size(); ++c) {
-    const ColorClass& x = a.classes[c];
-    const ColorClass& y = b.classes[c];
-    ASSERT_TRUE(x.color == y.color && x.cost == y.cost &&
-                x.edges_begin == y.edges_begin && x.edges_end == y.edges_end &&
-                x.cov_begin == y.cov_begin && x.cov_end == y.cov_end)
-        << "class " << c;
   }
 }
 
@@ -497,31 +621,6 @@ TEST(ColorGraph, OverflowBoundaryIsExact) {
   opts.l_max = 1;
   EXPECT_THROW(build_color_graph({-3, 5}, opts), Error);
   EXPECT_THROW(build_color_graph_reference({-3, 5}, opts), Error);
-}
-
-TEST(ColorGraph, PooledBuildMatchesSerialForEveryPoolSize) {
-  // The sharded build (row-blocked enumeration, block-sorted merge,
-  // parallel class slicing) must be field-for-field identical to the
-  // serial flat build — and therefore to the map reference — for any pool
-  // size. Primaries are sized so the sharded path actually engages
-  // (>= 1024 edges).
-  Rng rng(0x5AAD);
-  for (const int threads : {2, 3, 8}) {
-    ThreadPool pool(threads);
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::vector<i64> primaries = [&] {
-        std::set<i64> vals;
-        while (vals.size() < 24u) vals.insert(rng.next_int(1, 4095) | 1);
-        return std::vector<i64>{vals.begin(), vals.end()};
-      }();
-      ColorGraphOptions opts;
-      opts.rep = trial % 2 == 0 ? NumberRep::kSpt : NumberRep::kSignMagnitude;
-      const ColorGraph serial = build_color_graph(primaries, opts);
-      const ColorGraph pooled = build_color_graph(primaries, opts, &pool);
-      ASSERT_GE(pooled.edges.size(), 1024u);
-      expect_same_color_graph(pooled, serial);
-    }
-  }
 }
 
 TEST(Mrp, PooledSolveMatchesSerialAndRecordsStageTimers) {
