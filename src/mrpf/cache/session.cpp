@@ -1,6 +1,5 @@
 #include "mrpf/cache/session.hpp"
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -9,40 +8,14 @@
 
 namespace mrpf::cache {
 
-namespace {
-
-void warn_malformed_once(const char* value) {
-  env::warn_once("MRPF_CACHE",
-                 "mrpf: ignoring malformed MRPF_CACHE value \"" +
-                     std::string(value) +
-                     "\" (expected \"off\", \"0\", or a capacity in MiB)");
-}
-
-}  // namespace
-
-CacheEnvConfig parse_cache_env(const char* value, bool* malformed) {
-  // One grammar, owned by common/env (shared with env::snapshot_knobs so
-  // the daemon's startup snapshot and this lazy per-session read can
-  // never diverge).
-  const env::ParsedCacheKnob parsed = env::parse_cache_knob(value);
-  if (malformed != nullptr) *malformed = !parsed.well_formed;
-  CacheEnvConfig config;
-  config.disabled = parsed.disabled;
-  config.max_bytes = parsed.max_bytes;
-  return config;
-}
-
 SolveCacheSession::SolveCacheSession(std::string path, bool ignore_env,
                                      const SolveCacheConfig& config)
     : path_(std::move(path)) {
   SolveCacheConfig effective = config;
   if (!ignore_env) {
-    const char* env = std::getenv("MRPF_CACHE");
-    bool malformed = false;
-    const CacheEnvConfig env_config = parse_cache_env(env, &malformed);
-    if (malformed) warn_malformed_once(env);
-    if (env_config.disabled) return;  // cache_ stays null
-    if (env_config.max_bytes != 0) effective.max_bytes = env_config.max_bytes;
+    const env::ParsedCacheKnob knob = env::read_cache();
+    if (knob.disabled) return;  // cache_ stays null
+    if (knob.max_bytes != 0) effective.max_bytes = knob.max_bytes;
   }
   cache_ = std::make_unique<SolveCache>(effective);
   if (!path_.empty()) {

@@ -2,10 +2,11 @@
 //
 // A session owns one SolveCache, warms it from `path` at construction
 // (silently starting cold if the file is missing, corrupt, or stale), and
-// writes it back on save(). The MRPF_CACHE environment variable is the
-// operator override: `0` or `off` disables caching entirely (cache()
-// returns nullptr), a positive integer overrides the capacity in MiB, and
-// anything else warns once on stderr and falls back to defaults.
+// writes it back on save(). The MRPF_CACHE environment variable, read
+// through env::read_cache, is the operator override: `0` or `off` disables
+// caching entirely (cache() returns nullptr), a positive integer overrides
+// the capacity in MiB, and anything else warns once on stderr and falls
+// back to defaults.
 #pragma once
 
 #include <memory>
@@ -14,19 +15,6 @@
 #include "mrpf/cache/solve_cache.hpp"
 
 namespace mrpf::cache {
-
-/// Parsed MRPF_CACHE environment override.
-struct CacheEnvConfig {
-  bool disabled = false;
-  /// Capacity override in bytes; 0 means "no override, use the default".
-  std::size_t max_bytes = 0;
-};
-
-/// Parses an MRPF_CACHE-style value ("0"/"off"/"OFF" disable; positive
-/// decimal integer = capacity in MiB, clamped to [1, 65536]). Returns
-/// defaults and sets *malformed (when non-null) if the value parses as
-/// none of these.
-CacheEnvConfig parse_cache_env(const char* value, bool* malformed = nullptr);
 
 class SolveCacheSession {
  public:

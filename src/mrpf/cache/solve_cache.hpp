@@ -13,9 +13,9 @@
 // wrong data.
 //
 // Counters (hit/miss/insert/evict, per-scheme hit/miss, plus wall ns,
-// StageTimers-style) are process-cheap atomics; bench/perf_mrp_sweep and
-// bench/baseline_zoo export stats() snapshots into BENCH_mrp.json /
-// BENCH_schemes.json.
+// StageTimers-style) are process-cheap atomics; bench/baseline_zoo exports
+// stats() snapshots into BENCH_schemes.json, and the daemon's stats frame
+// and perfbench read them too.
 #pragma once
 
 #include <array>

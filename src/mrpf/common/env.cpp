@@ -21,6 +21,21 @@ std::set<std::string>& warned_keys() {
   return keys;
 }
 
+/// The integer knobs: the parsed value clamped to `clamp_max`, or 0 when
+/// the variable is unset or malformed (a malformed value warns once and
+/// names what the caller falls back to).
+long long read_positive_int(const char* key, long long clamp_max,
+                            const char* fallback) {
+  const char* v = std::getenv(key);
+  if (v == nullptr) return 0;
+  const ParsedInt p = parse_positive_int(v, clamp_max);
+  if (p.well_formed) return p.value;
+  warn_once(key, "mrpf: ignoring malformed " + std::string(key) + "=\"" + v +
+                     "\" — expected a decimal integer >= 1; using the " +
+                     fallback);
+  return 0;
+}
+
 }  // namespace
 
 ParsedInt parse_positive_int(const char* value, long long clamp_max) {
@@ -100,70 +115,56 @@ ParsedCacheKnob parse_cache_knob(const char* value) {
   return out;
 }
 
+int read_threads() {
+  return static_cast<int>(
+      read_positive_int("MRPF_THREADS", 512, "hardware default"));
+}
+
+ParsedCacheKnob read_cache() {
+  const char* v = std::getenv("MRPF_CACHE");
+  const ParsedCacheKnob c = parse_cache_knob(v);
+  if (c.well_formed) return c;
+  warn_once("MRPF_CACHE", "mrpf: ignoring malformed MRPF_CACHE value \"" +
+                              std::string(v) +
+                              "\" (expected \"off\", \"0\", or a capacity "
+                              "in MiB)");
+  return {};
+}
+
+ParsedExecMode read_exec_mode() {
+  const char* v = std::getenv("MRPF_EXEC");
+  if (v == nullptr) return {};
+  const ParsedExecMode m = parse_exec_mode(v);
+  if (m.well_formed) return m;
+  warn_once("MRPF_EXEC", "mrpf: ignoring malformed MRPF_EXEC value \"" +
+                             std::string(v) +
+                             "\" (expected off|interp|vector|vector:<lanes>)");
+  return {};
+}
+
+// The budget clamps mirror core::kMaxOptBudget and core::kMaxXformBudget
+// (common/ stays free of core types).
+long long read_opt_budget() {
+  return read_positive_int("MRPF_OPT_BUDGET", 1'000'000'000'000,
+                           "built-in search budget");
+}
+
+long long read_xform_budget() {
+  return read_positive_int("MRPF_XFORM_BUDGET", 1'000'000'000'000,
+                           "built-in saturation budget");
+}
+
 KnobSnapshot snapshot_knobs() {
   KnobSnapshot s;
-  if (const char* v = std::getenv("MRPF_THREADS")) {
-    const ParsedInt p = parse_positive_int(v, 512);
-    if (p.well_formed) {
-      s.threads = static_cast<int>(p.value);
-    } else {
-      warn_once("MRPF_THREADS",
-                "mrpf: ignoring malformed MRPF_THREADS=\"" + std::string(v) +
-                    "\" — expected a decimal integer >= 1; using the "
-                    "hardware default");
-    }
-  }
-  if (const char* v = std::getenv("MRPF_CACHE")) {
-    const ParsedCacheKnob c = parse_cache_knob(v);
-    if (c.well_formed) {
-      s.cache_disabled = c.disabled;
-      s.cache_max_bytes = c.max_bytes;
-    } else {
-      warn_once("MRPF_CACHE",
-                "mrpf: ignoring malformed MRPF_CACHE value \"" +
-                    std::string(v) +
-                    "\" (expected \"off\", \"0\", or a capacity in MiB)");
-    }
-  }
-  if (const char* v = std::getenv("MRPF_OPT_BUDGET")) {
-    // Clamp mirrors core::kMaxOptBudget (common/ stays free of core types).
-    const ParsedInt p = parse_positive_int(v, 1'000'000'000'000);
-    if (p.well_formed) {
-      s.opt_budget = p.value;
-    } else {
-      warn_once("MRPF_OPT_BUDGET",
-                "mrpf: ignoring malformed MRPF_OPT_BUDGET=\"" +
-                    std::string(v) +
-                    "\" — expected a decimal integer >= 1; using the "
-                    "built-in search budget");
-    }
-  }
-  if (const char* v = std::getenv("MRPF_XFORM_BUDGET")) {
-    // Clamp mirrors core::kMaxXformBudget (common/ stays free of core
-    // types).
-    const ParsedInt p = parse_positive_int(v, 1'000'000'000'000);
-    if (p.well_formed) {
-      s.xform_budget = p.value;
-    } else {
-      warn_once("MRPF_XFORM_BUDGET",
-                "mrpf: ignoring malformed MRPF_XFORM_BUDGET=\"" +
-                    std::string(v) +
-                    "\" — expected a decimal integer >= 1; using the "
-                    "built-in saturation budget");
-    }
-  }
-  if (const char* v = std::getenv("MRPF_EXEC")) {
-    const ParsedExecMode m = parse_exec_mode(v);
-    if (m.well_formed) {
-      s.exec_mode = m.mode;
-      s.exec_lanes = m.lanes;
-    } else {
-      warn_once("MRPF_EXEC",
-                "mrpf: ignoring malformed MRPF_EXEC value \"" +
-                    std::string(v) +
-                    "\" (expected off|interp|vector|vector:<lanes>)");
-    }
-  }
+  s.threads = read_threads();
+  const ParsedCacheKnob cache = read_cache();
+  s.cache_disabled = cache.disabled;
+  s.cache_max_bytes = cache.max_bytes;
+  const ParsedExecMode exec = read_exec_mode();
+  s.exec_mode = exec.mode;
+  s.exec_lanes = exec.lanes;
+  s.opt_budget = read_opt_budget();
+  s.xform_budget = read_xform_budget();
   return s;
 }
 

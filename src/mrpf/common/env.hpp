@@ -49,6 +49,27 @@ struct ParsedCacheKnob {
 
 ParsedCacheKnob parse_cache_knob(const char* value);
 
+/// One read-parse-warn function per MRPF_* knob. Each reads its variable
+/// with one getenv on every call and applies the knob's grammar above. A
+/// malformed value warns once per process (one message per knob, keyed by
+/// the variable's name) and reads as unset. snapshot_knobs and every lazy
+/// per-call reader (default_thread_count, SolveCacheSession,
+/// exec_config_from_env, the scheme drivers' budget resolution) go through
+/// these, so no two paths can parse or warn differently.
+
+/// MRPF_THREADS, clamped to 512; 0 when unset or malformed.
+int read_threads();
+/// MRPF_CACHE; the defaults (enabled, no capacity override) when unset,
+/// empty or malformed.
+ParsedCacheKnob read_cache();
+/// MRPF_EXEC; the defaults (vector, engine-default lanes) when unset or
+/// malformed.
+ParsedExecMode read_exec_mode();
+/// MRPF_OPT_BUDGET, clamped to 10^12 steps; 0 when unset or malformed.
+long long read_opt_budget();
+/// MRPF_XFORM_BUDGET, clamped to 10^12 steps; 0 when unset or malformed.
+long long read_xform_budget();
+
 /// One-shot snapshot of every MRPF_* runtime knob, taken with a single
 /// getenv pass per key. Long-running processes (the mrpf_serve daemon)
 /// snapshot once at startup and pass the struct down explicitly — the
@@ -76,11 +97,10 @@ struct KnobSnapshot {
 };
 
 /// Reads MRPF_THREADS, MRPF_CACHE, MRPF_EXEC, MRPF_OPT_BUDGET and
-/// MRPF_XFORM_BUDGET once each, applying the
-/// shared strict grammars. Malformed values warn_once (same keys as the
-/// lazy per-call readers, so a process never warns twice for one knob)
-/// and leave the corresponding field at its default. Thread-safe:
-/// concurrent first calls are race-free.
+/// MRPF_XFORM_BUDGET once each through the read_* functions above, so a
+/// malformed value leaves its field at the default and a process never
+/// warns twice for one knob. Thread-safe: concurrent first calls are
+/// race-free.
 KnobSnapshot snapshot_knobs();
 
 /// Emits `message` on stderr at most once per process per `key`.

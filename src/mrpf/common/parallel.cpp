@@ -1,8 +1,6 @@
 #include "mrpf/common/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
 #include "mrpf/common/env.hpp"
 
@@ -17,26 +15,9 @@ int hardware_default() {
 
 }  // namespace
 
-namespace detail {
-bool thread_env_warning_fired() { return env::warning_fired("MRPF_THREADS"); }
-}  // namespace detail
-
 int default_thread_count() {
-  const char* value = std::getenv("MRPF_THREADS");
-  if (value == nullptr) return hardware_default();
-
-  // Shared env-knob grammar: decimal digits, value >= 1, clamped to 512.
-  const env::ParsedInt parsed = env::parse_positive_int(value, 512);
-  if (parsed.well_formed) return static_cast<int>(parsed.value);
-
-  const int hw = hardware_default();
-  env::warn_once(
-      "MRPF_THREADS",
-      "mrpf: ignoring malformed MRPF_THREADS=\"" + std::string(value) +
-          "\" — expected a decimal integer >= 1 (e.g. MRPF_THREADS=4; "
-          "values above 512 are clamped); falling back to " +
-          std::to_string(hw) + (hw == 1 ? " hardware thread" : " hardware threads"));
-  return hw;
+  const int threads = env::read_threads();
+  return threads > 0 ? threads : hardware_default();
 }
 
 ThreadPool::ThreadPool(int threads) {

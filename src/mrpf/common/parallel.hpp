@@ -39,16 +39,11 @@
 namespace mrpf {
 
 /// MRPF_THREADS if set and well-formed (see grammar above, clamped to
-/// [1, 512]), else hardware_concurrency(), else 1. Re-read on every call so
-/// tests can change the environment between batches. Malformed values warn
-/// once per process on stderr and fall back to the hardware default.
+/// [1, 512]; read through env::read_threads), else hardware_concurrency(),
+/// else 1. Re-read on every call so tests can change the environment
+/// between batches. Malformed values warn once per process on stderr and
+/// fall back to the hardware default.
 int default_thread_count();
-
-namespace detail {
-/// True once default_thread_count() has warned about a malformed
-/// MRPF_THREADS value (the warning fires at most once per process).
-bool thread_env_warning_fired();
-}  // namespace detail
 
 class ThreadPool {
  public:

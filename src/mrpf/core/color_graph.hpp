@@ -78,15 +78,15 @@ struct ColorGraphOptions {
 /// j ≠ i, then L, then σ) and grouped by color with a stable LSD radix
 /// sort, so each class lists its edges in enumeration order. The solver
 /// does not build it (see build_cover_instance); it serves inspection —
-/// the worked example, the perf benches and the tests. Field-for-field
+/// the worked example, perfbench and the tests. Field-for-field
 /// identical to build_color_graph_reference.
 ColorGraph build_color_graph(const std::vector<i64>& primaries,
                              const ColorGraphOptions& options = {});
 
 /// The seed implementation's std::map-based grouping (per-color tree node
-/// and dynamically grown edge list), kept for differential tests and as
-/// the perf baseline in `bench/perf_mrp_sweep`. Output is field-for-field
-/// identical to `build_color_graph`.
+/// and dynamically grown edge list), kept as the oracle of the
+/// differential tests. Output is field-for-field identical to
+/// `build_color_graph`.
 ColorGraph build_color_graph_reference(const std::vector<i64>& primaries,
                                        const ColorGraphOptions& options = {});
 

@@ -1,8 +1,8 @@
 // Field-for-field deep-equality checks over the synthesis IR, shared by
-// the fuzz oracles (src/mrpf/verify), the serve bench (bench/perf_serve)
-// and the gtest helpers (tests/mrp_equality.hpp) — one definition of what
-// "the same plan" means, so a field added to the IR is compared everywhere
-// by updating one place.
+// the fuzz oracles (src/mrpf/verify), the benches (bench/perf_mrp_sweep,
+// perfbench) and the gtest helpers (tests/mrp_equality.hpp, one-line
+// wrappers) — one definition of what "the same plan" means, so a field
+// added to the IR is compared everywhere by updating one place.
 //
 // Every checker returns a one-line description of the first difference, or
 // nullopt when the two values are equal. Stage timers are deliberately

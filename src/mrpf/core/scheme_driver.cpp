@@ -1,9 +1,7 @@
 #include "mrpf/core/scheme_driver.hpp"
 
-#include <utility>
-
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "mrpf/baseline/diff_mst.hpp"
 #include "mrpf/baseline/ragn.hpp"
@@ -21,11 +19,11 @@ namespace {
 
 /// Resolves the 0 = "unset" xform_budget convention, mirroring
 /// resolve_opt_budget below: an explicit budget wins, then
-/// MRPF_XFORM_BUDGET (same strict grammar and warn_once key as
-/// env::snapshot_knobs), then kDefaultXformBudget. Only consulted when the
-/// pass is on — a disabled pass pins the budget to 0 and never touches the
-/// environment, so pass-off cache tags stay stable and the daemon's
-/// env-hygiene (knobs snapshotted once at startup) is preserved.
+/// MRPF_XFORM_BUDGET (env::read_xform_budget), then kDefaultXformBudget.
+/// Only consulted when the pass is on — a disabled pass pins the budget to
+/// 0 and never touches the environment, so pass-off cache tags stay stable
+/// and the daemon's env-hygiene (knobs snapshotted once at startup) is
+/// preserved.
 PassConfig canonical_passes(const PassConfig& requested) {
   PassConfig p;
   p.xform = requested.xform;
@@ -34,19 +32,8 @@ PassConfig canonical_passes(const PassConfig& requested) {
     p.xform_budget = std::min(requested.xform_budget, kMaxXformBudget);
     return p;
   }
-  if (const char* v = std::getenv("MRPF_XFORM_BUDGET")) {
-    const env::ParsedInt parsed = env::parse_positive_int(v, kMaxXformBudget);
-    if (parsed.well_formed) {
-      p.xform_budget = parsed.value;
-      return p;
-    }
-    env::warn_once("MRPF_XFORM_BUDGET",
-                   "mrpf: ignoring malformed MRPF_XFORM_BUDGET=\"" +
-                       std::string(v) +
-                       "\" — expected a decimal integer >= 1; using the "
-                       "built-in saturation budget");
-  }
-  p.xform_budget = kDefaultXformBudget;
+  const long long env_budget = env::read_xform_budget();
+  p.xform_budget = env_budget > 0 ? env_budget : kDefaultXformBudget;
   return p;
 }
 
@@ -66,22 +53,13 @@ MrpOptions baseline_options(const MrpOptions& options) {
 }
 
 /// Resolves the 0 = "unset" opt_budget convention: an explicit option wins,
-/// then MRPF_OPT_BUDGET (shared strict grammar, same warn_once key and
-/// message as env::snapshot_knobs, so a process never warns twice), then
-/// the built-in default. The daemon never reaches the getenv branch — it
-/// injects its startup snapshot into every request's options.
+/// then MRPF_OPT_BUDGET (env::read_opt_budget), then the built-in default.
+/// The daemon never reaches the environment — it injects its startup
+/// snapshot into every request's options.
 long long resolve_opt_budget(long long requested) {
   if (requested > 0) return std::min(requested, kMaxOptBudget);
-  if (const char* v = std::getenv("MRPF_OPT_BUDGET")) {
-    const env::ParsedInt p = env::parse_positive_int(v, kMaxOptBudget);
-    if (p.well_formed) return p.value;
-    env::warn_once("MRPF_OPT_BUDGET",
-                   "mrpf: ignoring malformed MRPF_OPT_BUDGET=\"" +
-                       std::string(v) +
-                       "\" — expected a decimal integer >= 1; using the "
-                       "built-in search budget");
-  }
-  return kDefaultOptBudget;
+  const long long env_budget = env::read_opt_budget();
+  return env_budget > 0 ? env_budget : kDefaultOptBudget;
 }
 
 class SimpleDriver final : public SchemeDriver {

@@ -2,12 +2,11 @@
 //
 // Every mrp_optimize call records wall time and an item count for each
 // stage-A phase into the MrpResult it returns, so a perf regression shows
-// up *per stage per solve* in bench/perf_mrp_sweep's BENCH_mrp.json
-// trajectory instead of being buried in one aggregate number. Collection
-// is always on: the cost is a handful of steady_clock reads per solve,
-// invisible next to the stages themselves, and the timers never influence
-// any algorithmic decision — results stay bit-identical with or without
-// readers.
+// up *per stage per solve* instead of being buried in one aggregate
+// number. Collection is always on: the cost is a handful of steady_clock
+// reads per solve, invisible next to the stages themselves, and the timers
+// never influence any algorithmic decision — results stay bit-identical
+// with or without readers.
 #pragma once
 
 #include <chrono>
@@ -25,8 +24,8 @@ struct StageSample {
 
 /// The per-solve breakdown, in pipeline order. The five stage-A samples
 /// are MRP-specific (zero for other schemes); `optimize` and `lowering`
-/// are recorded by the flow layer for every scheme, so BENCH_mrp.json and
-/// BENCH_schemes.json report the same shape across schemes.
+/// are recorded by the flow layer for every scheme, so every reader sees
+/// the same shape across schemes.
 struct StageTimers {
   StageSample primaries;       // items: primary vertices extracted
   StageSample color_graph;     // items: SIDC edges enumerated
@@ -66,10 +65,10 @@ struct StageTimers {
   double total_ns = 0.0;       // whole mrp_optimize call
 };
 
-/// Sums `from` into `into` sample by sample (ns and items, plus total_ns) —
-/// the aggregation the perf benches use to report per-stage totals across a
-/// catalog sweep. Every field only grows, so repeated accumulation yields
-/// monotone per-stage sums.
+/// Sums `from` into `into` sample by sample (ns and items, plus total_ns),
+/// e.g. a program's compile timers and its engine's run timers
+/// (exec::StreamingFilter::timers). Every field only grows, so repeated
+/// accumulation yields monotone per-stage sums.
 inline void accumulate(StageTimers& into, const StageTimers& from) {
   const auto add = [](StageSample& a, const StageSample& b) {
     a.ns += b.ns;

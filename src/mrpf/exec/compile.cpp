@@ -4,7 +4,6 @@
 #include <climits>
 
 #include "mrpf/common/error.hpp"
-#include "mrpf/io/json_report.hpp"
 
 namespace mrpf::exec {
 
@@ -154,26 +153,6 @@ ExecProgram compile(const arch::TdfFilter& filter) {
   }
   prog.timers.exec_compile.items = prog.ops.size();
   return prog;
-}
-
-std::string stage_timers_json(const core::StageTimers& timers,
-                              const std::string& indent) {
-  const core::StageSample* samples[] = {
-      &timers.primaries,     &timers.color_graph, &timers.set_cover,
-      &timers.tree_growth,   &timers.seed_synthesis, &timers.optimize,
-      &timers.lowering,      &timers.exec_compile,   &timers.exec_run};
-  const char* names[] = {"primaries",      "color_graph", "set_cover",
-                         "tree_growth",    "seed_synthesis", "optimize",
-                         "lowering",       "exec.compile",   "exec.run"};
-  std::string out = "{\n";
-  for (std::size_t i = 0; i < 9; ++i) {
-    out += indent + "  \"" + names[i] + "\": {\"ms\": " +
-           io::json_double(samples[i]->ns / 1e6) + ", \"items\": " +
-           std::to_string(samples[i]->items) + "},\n";
-  }
-  out += indent + "  \"total_ms\": " + io::json_double(timers.total_ns / 1e6) +
-         "\n" + indent + "}";
-  return out;
 }
 
 }  // namespace mrpf::exec

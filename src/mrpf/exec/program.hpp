@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "mrpf/common/bits.hpp"
@@ -70,11 +69,5 @@ struct ExecProgram {
   /// exec_compile filled by compile(); engines account exec_run locally.
   core::StageTimers timers;
 };
-
-/// The per-stage JSON fragment the throughput bench embeds in
-/// BENCH_throughput.json: every StageTimers sample keyed by stage name
-/// ("exec.compile", "exec.run", "optimize", ...) with ms and item counts.
-std::string stage_timers_json(const core::StageTimers& timers,
-                              const std::string& indent);
 
 }  // namespace mrpf::exec

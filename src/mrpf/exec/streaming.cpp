@@ -1,7 +1,5 @@
 #include "mrpf/exec/streaming.hpp"
 
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "mrpf/common/env.hpp"
@@ -22,18 +20,10 @@ const char* to_string(ExecMode mode) {
 }
 
 ExecConfig exec_config_from_env() {
+  const env::ParsedExecMode knob = env::read_exec_mode();
   ExecConfig config;
-  const char* raw = std::getenv("MRPF_EXEC");
-  if (raw == nullptr) return config;
-  const env::ParsedExecMode parsed = env::parse_exec_mode(raw);
-  if (!parsed.well_formed) {
-    env::warn_once("MRPF_EXEC",
-                   std::string("MRPF_EXEC: ignoring malformed value \"") +
-                       raw + "\" (want off|interp|vector|vector:N)");
-    return config;
-  }
-  config.mode = static_cast<ExecMode>(parsed.mode);
-  config.lanes = parsed.lanes;
+  config.mode = static_cast<ExecMode>(knob.mode);
+  config.lanes = knob.lanes;
   return config;
 }
 

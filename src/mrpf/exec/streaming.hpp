@@ -37,9 +37,10 @@ struct ExecConfig {
 };
 
 /// Reads MRPF_EXEC ("off" | "interp" | "vector" | "vector:N") into a
-/// config. Unset means the default (vector, default lanes); a malformed
-/// value warns once via env::warn_once and also returns the default, so a
-/// typo can never silently change results or disable the engine.
+/// config through env::read_exec_mode. Unset means the default (vector,
+/// default lanes); a malformed value warns once and also returns the
+/// default, so a typo can never silently change results or disable the
+/// engine.
 ExecConfig exec_config_from_env();
 
 class StreamingFilter {

@@ -1,148 +1,40 @@
-// Shared deep-equality assertions over MrpResult, SynthPlan, and lowered
-// multiplier blocks — every field the solver records, including the
-// primary-bank back-references, the full per-edge color data, the optional
-// SEED CSE plan, and recursive SEED levels. Used by the determinism tests
-// (test_core) and the cache tests (test_cache, test_scheme_driver), where
-// "cached == fresh" must mean field-for-field, not just cost.
+// Deep-equality assertions over MrpResult, SynthPlan, CSE results and
+// lowered multiplier blocks, for the determinism tests (test_core) and the
+// cache tests (test_cache, test_scheme_driver), where "cached == fresh"
+// must mean field for field, not just cost. Each one asserts that the
+// library checker of core/plan_equality.hpp finds no difference, so the
+// tests, the fuzz oracles and the benches share one definition of "the
+// same plan"; a failure prints the first differing field.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include "mrpf/core/mrp.hpp"
-#include "mrpf/core/synth_plan.hpp"
-#include "mrpf/cse/hartley.hpp"
+#include <optional>
+
+#include "mrpf/core/plan_equality.hpp"
 
 namespace mrpf {
 
 inline void expect_same_cse_result(const cse::CseResult& a,
                                    const cse::CseResult& b) {
-  ASSERT_EQ(a.subexpressions.size(), b.subexpressions.size());
-  for (std::size_t i = 0; i < a.subexpressions.size(); ++i) {
-    const cse::Subexpression& x = a.subexpressions[i];
-    const cse::Subexpression& y = b.subexpressions[i];
-    EXPECT_TRUE(x.pattern.sym_a == y.pattern.sym_a &&
-                x.pattern.sym_b == y.pattern.sym_b &&
-                x.pattern.rel_shift == y.pattern.rel_shift &&
-                x.pattern.rel_negate == y.pattern.rel_negate &&
-                x.value == y.value)
-        << "subexpression " << i;
-  }
-  ASSERT_EQ(a.expressions.size(), b.expressions.size());
-  for (std::size_t i = 0; i < a.expressions.size(); ++i) {
-    ASSERT_EQ(a.expressions[i].size(), b.expressions[i].size())
-        << "expression " << i;
-    for (std::size_t t = 0; t < a.expressions[i].size(); ++t) {
-      const cse::Term& x = a.expressions[i][t];
-      const cse::Term& y = b.expressions[i][t];
-      EXPECT_TRUE(x.symbol == y.symbol && x.shift == y.shift &&
-                  x.negate == y.negate)
-          << "expression " << i << " term " << t;
-    }
-  }
-  EXPECT_EQ(a.constants, b.constants);
+  EXPECT_EQ(core::cse_mismatch(a, b), std::nullopt);
 }
 
-/// Deep equality over everything MrpResult records about a solve.
 inline void expect_same_mrp_result(const core::MrpResult& a,
                                    const core::MrpResult& b) {
-  EXPECT_EQ(a.bank.primaries, b.bank.primaries);
-  ASSERT_EQ(a.bank.refs.size(), b.bank.refs.size());
-  for (std::size_t i = 0; i < a.bank.refs.size(); ++i) {
-    const core::PrimaryBank::Ref& x = a.bank.refs[i];
-    const core::PrimaryBank::Ref& y = b.bank.refs[i];
-    EXPECT_TRUE(x.vertex == y.vertex && x.shift == y.shift &&
-                x.negate == y.negate)
-        << "bank ref " << i;
-  }
-  EXPECT_EQ(a.vertices, b.vertices);
-  EXPECT_EQ(a.solution_colors, b.solution_colors);
-  EXPECT_EQ(a.roots, b.roots);
-  EXPECT_EQ(a.root_is_free, b.root_is_free);
-  EXPECT_EQ(a.vertex_depth, b.vertex_depth);
-  EXPECT_EQ(a.tree_height, b.tree_height);
-  EXPECT_EQ(a.seed_values, b.seed_values);
-  EXPECT_EQ(a.seed_adders, b.seed_adders);
-  EXPECT_EQ(a.overhead_adders, b.overhead_adders);
-  ASSERT_EQ(a.tree_edges.size(), b.tree_edges.size());
-  for (std::size_t i = 0; i < a.tree_edges.size(); ++i) {
-    const core::TreeEdge& x = a.tree_edges[i];
-    const core::TreeEdge& y = b.tree_edges[i];
-    EXPECT_TRUE(x.depth == y.depth && x.edge.from == y.edge.from &&
-                x.edge.to == y.edge.to && x.edge.l == y.edge.l &&
-                x.edge.pred_negate == y.edge.pred_negate &&
-                x.edge.xi == y.edge.xi && x.edge.color == y.edge.color &&
-                x.edge.color_shift == y.edge.color_shift &&
-                x.edge.color_negate == y.edge.color_negate)
-        << "tree edge " << i;
-  }
-  ASSERT_EQ(a.seed_cse.has_value(), b.seed_cse.has_value());
-  if (a.seed_cse.has_value()) {
-    expect_same_cse_result(*a.seed_cse, *b.seed_cse);
-  }
-  ASSERT_EQ(a.seed_recursive != nullptr, b.seed_recursive != nullptr);
-  if (a.seed_recursive != nullptr) {
-    expect_same_mrp_result(*a.seed_recursive, *b.seed_recursive);
-  }
+  EXPECT_EQ(core::mrp_mismatch(a, b), std::nullopt);
 }
 
-/// Deep equality over a lowered multiplier block: graph ops, taps, and
-/// constants (the full physical architecture, not just the adder count).
 inline void expect_same_block(const arch::MultiplierBlock& a,
                               const arch::MultiplierBlock& b) {
-  ASSERT_EQ(a.graph.num_nodes(), b.graph.num_nodes());
-  for (int node = 1; node < a.graph.num_nodes(); ++node) {
-    const arch::AdderOp& x = a.graph.op(node);
-    const arch::AdderOp& y = b.graph.op(node);
-    EXPECT_TRUE(x.a == y.a && x.b == y.b && x.shift_a == y.shift_a &&
-                x.shift_b == y.shift_b && x.subtract == y.subtract)
-        << "op for node " << node;
-  }
-  ASSERT_EQ(a.taps.size(), b.taps.size());
-  for (std::size_t i = 0; i < a.taps.size(); ++i) {
-    const arch::Tap& x = a.taps[i];
-    const arch::Tap& y = b.taps[i];
-    EXPECT_TRUE(x.node == y.node && x.shift == y.shift &&
-                x.negate == y.negate && x.constant == y.constant)
-        << "tap " << i;
-  }
-  EXPECT_EQ(a.constants, b.constants);
+  EXPECT_EQ(core::block_mismatch(a, b), std::nullopt);
 }
 
-/// Deep equality over a SynthPlan: scheme, analytic cost, the full op and
-/// tap lists, and the optional MRP/CSE/xform provenance. Stage timers are
-/// deliberately excluded — they are wall-clock measurements, so a cached
-/// plan carries the original solve's timings while a fresh solve records
-/// its own.
+/// Stage timers are excluded: a cached plan carries the timings of the
+/// solve that filled the entry.
 inline void expect_same_plan(const core::SynthPlan& a,
                              const core::SynthPlan& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.analytic_adders, b.analytic_adders);
-  ASSERT_EQ(a.ops.size(), b.ops.size());
-  for (std::size_t i = 0; i < a.ops.size(); ++i) {
-    const arch::AdderOp& x = a.ops[i];
-    const arch::AdderOp& y = b.ops[i];
-    EXPECT_TRUE(x.a == y.a && x.b == y.b && x.shift_a == y.shift_a &&
-                x.shift_b == y.shift_b && x.subtract == y.subtract)
-        << "op " << i;
-  }
-  ASSERT_EQ(a.taps.size(), b.taps.size());
-  for (std::size_t i = 0; i < a.taps.size(); ++i) {
-    const arch::Tap& x = a.taps[i];
-    const arch::Tap& y = b.taps[i];
-    EXPECT_TRUE(x.node == y.node && x.shift == y.shift &&
-                x.negate == y.negate && x.constant == y.constant)
-        << "tap " << i;
-  }
-  ASSERT_EQ(a.mrp.has_value(), b.mrp.has_value());
-  if (a.mrp.has_value()) expect_same_mrp_result(*a.mrp, *b.mrp);
-  ASSERT_EQ(a.cse.has_value(), b.cse.has_value());
-  if (a.cse.has_value()) expect_same_cse_result(*a.cse, *b.cse);
-  ASSERT_EQ(a.xform.has_value(), b.xform.has_value());
-  if (a.xform.has_value()) {
-    EXPECT_EQ(a.xform->original_adders, b.xform->original_adders);
-    EXPECT_EQ(a.xform->steps, b.xform->steps);
-    EXPECT_EQ(a.xform->saturated, b.xform->saturated);
-  }
+  EXPECT_EQ(core::plan_mismatch(a, b), std::nullopt);
 }
 
 }  // namespace mrpf

@@ -26,7 +26,7 @@ done
 
 fail=0
 "$SERVE" --client --unix "$SOCK" --ping || fail=1
-for scheme in simple cse diff-mst rag-n mrpf mrpf+cse; do
+for scheme in simple cse diff-mst rag-n mrpf mrpf+cse bnb; do
   if ! "$SERVE" --client --unix "$SOCK" \
        --coeffs 7,66,17,9,27,41,57,11 --scheme "$scheme"; then
     echo "scheme $scheme failed"

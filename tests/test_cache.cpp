@@ -21,7 +21,9 @@
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
 #include "mrpf/core/mrp.hpp"
+#include "mrpf/filter/catalog.hpp"
 #include "mrpf/io/result_serde.hpp"
+#include "mrpf/number/quantize.hpp"
 
 #include "mrp_equality.hpp"
 
@@ -334,6 +336,53 @@ TEST(SolveCacheTest, CachedBatchIsDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(SolveCacheTest, CatalogReplayIsAllHitsWarmAndFromTheStore) {
+  // The maximally scaled W=16 catalog, each bank followed by two
+  // equivalent variants. A cold batch, a warm batch and a batch served by
+  // a cache reloaded from disk all equal the uncached solves field for
+  // field; the warm and reloaded passes make no live solve.
+  Rng rng(0x5EED5);
+  std::vector<std::vector<i64>> banks;
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    banks.push_back(core::optimization_bank(
+        number::quantize_maximal(filter::catalog_coefficients(i), 16)
+            .values()));
+    const std::vector<i64> original = banks.back();
+    banks.push_back(equivalent_variant(original, rng));
+    banks.push_back(equivalent_variant(original, rng));
+  }
+  const MrpOptions plain;
+  const std::vector<MrpResult> fresh = core::mrp_optimize_batch(banks, plain);
+
+  SolveCache cache;
+  MrpOptions opts;
+  opts.cache = &cache;
+  const std::vector<MrpResult> cold = core::mrp_optimize_batch(banks, opts);
+  const CacheStats after_cold = cache.stats();
+  const std::vector<MrpResult> warm = core::mrp_optimize_batch(banks, opts);
+  EXPECT_EQ(cache.stats().misses, after_cold.misses);
+  EXPECT_GT(cache.stats().hits, after_cold.hits);
+
+  const std::string path = temp_path("catalog_replay");
+  ASSERT_TRUE(save_solve_cache(cache, path));
+  SolveCache reloaded;
+  ASSERT_TRUE(load_solve_cache(reloaded, path));
+  opts.cache = &reloaded;
+  const std::vector<MrpResult> from_disk =
+      core::mrp_optimize_batch(banks, opts);
+  EXPECT_EQ(reloaded.stats().misses, 0u);
+  EXPECT_GT(reloaded.stats().hits, 0u);
+  std::remove(path.c_str());
+
+  ASSERT_EQ(fresh.size(), banks.size());
+  for (std::size_t i = 0; i < banks.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "bank " << i);
+    expect_same_mrp_result(cold[i], fresh[i]);
+    expect_same_mrp_result(warm[i], fresh[i]);
+    expect_same_mrp_result(from_disk[i], fresh[i]);
+  }
+}
+
 core::SynthPlan rich_plan() {
   // mrpf+cse (cse_on_seed) plus recursive levels populates plan.mrp with
   // its optional SEED CSE plan and a nested recursive level, so the
@@ -545,6 +594,15 @@ TEST(Persist, RejectsCorruptFilesWholesale) {
     SolveCache cache;
     EXPECT_FALSE(load_solve_cache(cache, path)) << "flipped byte " << at;
     EXPECT_EQ(cache.stats().entries, 0u) << "flipped byte " << at;
+    // A session over the corrupt store comes up cold and solves correctly.
+    SolveCacheSession session(path, /*ignore_env=*/true);
+    EXPECT_FALSE(session.warm()) << "flipped byte " << at;
+    ASSERT_NE(session.cache(), nullptr);
+    EXPECT_EQ(session.cache()->stats().entries, 0u) << "flipped byte " << at;
+    MrpOptions opts;
+    opts.cache = session.cache();
+    expect_same_mrp_result(core::mrp_optimize(kPaperExample, opts),
+                           core::mrp_optimize(kPaperExample, MrpOptions{}));
   }
   // Truncated file.
   write_bytes(path, std::vector<std::uint8_t>(good.begin(),
@@ -693,24 +751,8 @@ TEST(Persist, RejectsVersionBumpEvenWithRecomputedChecksum) {
 }
 
 TEST(Session, HonorsMrpfCacheEnv) {
-  bool malformed = false;
-  EXPECT_TRUE(parse_cache_env("0", &malformed).disabled);
-  EXPECT_TRUE(parse_cache_env("off", &malformed).disabled);
-  EXPECT_TRUE(parse_cache_env("OFF", &malformed).disabled);
-  EXPECT_FALSE(malformed);
-  EXPECT_EQ(parse_cache_env("8", &malformed).max_bytes,
-            std::size_t{8} << 20);
-  EXPECT_FALSE(malformed);
-  EXPECT_EQ(parse_cache_env("999999999", &malformed).max_bytes,
-            std::size_t{65536} << 20);  // clamped
-  EXPECT_FALSE(malformed);
-  EXPECT_EQ(parse_cache_env(nullptr, &malformed).max_bytes, 0u);
-  EXPECT_FALSE(malformed);
-  (void)parse_cache_env("banana", &malformed);
-  EXPECT_TRUE(malformed);
-  (void)parse_cache_env("-3", &malformed);
-  EXPECT_TRUE(malformed);
-
+  // The grammar itself is pinned by
+  // EnvKnobs.CacheKnobSharesTheSessionGrammar.
   ::setenv("MRPF_CACHE", "off", 1);
   SolveCacheSession disabled("");
   EXPECT_EQ(disabled.cache(), nullptr);

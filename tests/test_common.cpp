@@ -12,12 +12,15 @@
 #include <thread>
 #include <vector>
 
+#include "mrpf/cache/session.hpp"
 #include "mrpf/common/bits.hpp"
 #include "mrpf/common/env.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/format.hpp"
 #include "mrpf/common/parallel.hpp"
 #include "mrpf/common/rng.hpp"
+#include "mrpf/core/scheme_driver.hpp"
+#include "mrpf/exec/streaming.hpp"
 
 namespace mrpf {
 namespace {
@@ -188,7 +191,7 @@ TEST(ThreadPool, MalformedThreadEnvWarnsOnceAndFallsBack) {
   // test tripped it already.
   const unsigned hw = std::thread::hardware_concurrency();
   const int hardware_default = hw > 0 ? static_cast<int>(hw) : 1;
-  const bool warned_before = detail::thread_env_warning_fired();
+  const bool warned_before = env::warning_fired("MRPF_THREADS");
   ::testing::internal::CaptureStderr();
   for (const char* bad : {"4x", "0", "-2", "", "  4", "+4", "4 "}) {
     ::setenv("MRPF_THREADS", bad, 1);
@@ -196,7 +199,7 @@ TEST(ThreadPool, MalformedThreadEnvWarnsOnceAndFallsBack) {
         << "MRPF_THREADS=\"" << bad << '"';
   }
   const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_TRUE(detail::thread_env_warning_fired());
+  EXPECT_TRUE(env::warning_fired("MRPF_THREADS"));
   std::size_t warnings = 0;
   const std::string needle = "ignoring malformed MRPF_THREADS";
   for (std::size_t pos = err.find(needle); pos != std::string::npos;
@@ -482,6 +485,65 @@ TEST(EnvKnobs, SnapshotReadsEveryKnobOnce) {
   const env::KnobSnapshot fresh = env::snapshot_knobs();
   EXPECT_EQ(fresh.threads, 0);
   EXPECT_EQ(fresh.cache_max_bytes, 0u);
+
+  // Each lazy per-call reader resolves its knob to what the snapshot
+  // holds, for well-formed, clamped, malformed and absent values, and a
+  // malformed value warns at most once however many paths read it.
+  const char* const keys[] = {"MRPF_THREADS", "MRPF_CACHE", "MRPF_EXEC",
+                              "MRPF_OPT_BUDGET", "MRPF_XFORM_BUDGET"};
+  const char* const rows[][5] = {
+      {"3", "128", "vector:4", "123456", "777"},
+      {"1", "off", "interp", "1", "1"},
+      {"9999", "70000", "vector:99", "99999999999999999999",
+       "99999999999999999999"},
+      {"4x", "64MB", "turbo", "2M", "0"},
+      {nullptr, nullptr, nullptr, nullptr, nullptr},
+  };
+  const unsigned hw = std::thread::hardware_concurrency();
+  ::testing::internal::CaptureStderr();
+  for (const auto& row : rows) {
+    for (int k = 0; k < 5; ++k) {
+      if (row[k] != nullptr) {
+        ::setenv(keys[k], row[k], 1);
+      } else {
+        ::unsetenv(keys[k]);
+      }
+    }
+    SCOPED_TRACE(row[0] != nullptr ? row[0] : "absent");
+    const env::KnobSnapshot knobs = env::snapshot_knobs();
+    EXPECT_EQ(default_thread_count(),
+              knobs.threads > 0 ? knobs.threads
+                                : (hw > 0 ? static_cast<int>(hw) : 1));
+    // A disabled session has no cache: zero bytes.
+    const cache::SolveCacheSession session("");
+    std::size_t want_bytes = knobs.cache_max_bytes != 0
+                                 ? knobs.cache_max_bytes
+                                 : cache::SolveCacheConfig{}.max_bytes;
+    if (knobs.cache_disabled) want_bytes = 0;
+    EXPECT_EQ(session.cache() != nullptr ? session.cache()->max_bytes() : 0u,
+              want_bytes);
+    const exec::ExecConfig exec = exec::exec_config_from_env();
+    EXPECT_EQ(static_cast<int>(exec.mode), knobs.exec_mode);
+    EXPECT_EQ(exec.lanes, knobs.exec_lanes);
+    core::MrpOptions requested;
+    requested.passes.xform = true;
+    const core::MrpOptions bnb =
+        core::scheme_driver(core::Scheme::kBnb).canonical_options(requested);
+    EXPECT_EQ(bnb.opt_budget, knobs.opt_budget > 0 ? knobs.opt_budget
+                                                   : core::kDefaultOptBudget);
+    EXPECT_EQ(bnb.passes.xform_budget,
+              knobs.xform_budget > 0 ? knobs.xform_budget
+                                     : core::kDefaultXformBudget);
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  for (const char* key : keys) {
+    const std::string needle = std::string("ignoring malformed ") + key;
+    const std::size_t first = err.find(needle);
+    EXPECT_TRUE(first == std::string::npos ||
+                err.find(needle, first + 1) == std::string::npos)
+        << err;
+    EXPECT_TRUE(env::warning_fired(key)) << key;
+  }
 }
 
 TEST(EnvKnobs, OptBudgetSnapshotSharesTheSessionGrammar) {

@@ -32,6 +32,13 @@ using number::NumberRep;
 // The asymmetric 8-tap example of §3.5.
 const std::vector<i64> kPaperExample = {7, 66, 17, 9, 27, 41, 57, 11};
 
+// The folded bank of catalog filter `i` at W=16, maximally scaled: the
+// Table-1 workload.
+std::vector<i64> catalog_bank(int i) {
+  return optimization_bank(
+      number::quantize_maximal(filter::catalog_coefficients(i), 16).values());
+}
+
 TEST(Sidc, DecomposeRoundTrips) {
   for (const i64 v : {i64{1}, i64{-1}, i64{6}, i64{-40}, i64{1024},
                       i64{12345}, i64{-99}}) {
@@ -484,11 +491,10 @@ TEST(Mrp, OptimizedEngineMatchesReferenceOverTheOptionSpace) {
   // (up to 51 primaries) and on random banks down to one tap.
   std::vector<std::vector<i64>> banks;
   for (int i = 0; i < filter::catalog_size(); ++i) {
-    const std::vector<double>& h = filter::catalog_coefficients(i);
-    banks.push_back(
-        optimization_bank(number::quantize_maximal(h, 16).values()));
-    banks.push_back(
-        optimization_bank(number::quantize_uniform(h, 12).values()));
+    banks.push_back(catalog_bank(i));
+    banks.push_back(optimization_bank(
+        number::quantize_uniform(filter::catalog_coefficients(i), 12)
+            .values()));
   }
   Rng rng(0x0A11);
   for (int trial = 0; trial < 96; ++trial) {
@@ -521,6 +527,14 @@ TEST(Mrp, OptimizedEngineMatchesReferenceOverTheOptionSpace) {
       expect_same_mrp_result(mrp_optimize(banks[b], opts),
                              mrp_optimize(banks[b], ref_opts));
     }
+  }
+  // The default options on the maximally scaled W=16 catalog.
+  MrpOptions ref_opts;
+  ref_opts.use_reference_engine = true;
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "catalog filter " << i);
+    expect_same_mrp_result(mrp_optimize(catalog_bank(i), MrpOptions{}),
+                           mrp_optimize(catalog_bank(i), ref_opts));
   }
 }
 
@@ -568,7 +582,9 @@ TEST(Mrp, SolverThrowsWhereTheReferenceEngineThrows) {
 
 TEST(Mrp, BatchIsDeterministicAcrossThreadCounts) {
   // mrp_optimize_batch reads MRPF_THREADS through the pool: the results
-  // must be bit-identical for 1 and 4 threads (deterministic ordering).
+  // must be bit-identical for 1 and 4 threads (deterministic ordering) and
+  // to one-by-one solves, on random banks and on the maximally scaled
+  // W=16 catalog.
   std::vector<std::vector<i64>> banks;
   Rng rng(0xBA7C);
   for (int trial = 0; trial < 6; ++trial) {
@@ -577,15 +593,21 @@ TEST(Mrp, BatchIsDeterministicAcrossThreadCounts) {
     for (int t = 0; t < taps; ++t) bank.push_back(rng.next_int(-2047, 2047));
     banks.push_back(std::move(bank));
   }
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    banks.push_back(catalog_bank(i));
+  }
   MrpOptions opts;
   ::setenv("MRPF_THREADS", "1", 1);
   const std::vector<MrpResult> one = mrp_optimize_batch(banks, opts);
   ::setenv("MRPF_THREADS", "4", 1);
   const std::vector<MrpResult> four = mrp_optimize_batch(banks, opts);
   ::unsetenv("MRPF_THREADS");
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
+  ASSERT_EQ(one.size(), banks.size());
+  ASSERT_EQ(four.size(), banks.size());
+  for (std::size_t i = 0; i < banks.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "bank " << i);
     expect_same_mrp_result(one[i], four[i]);
+    expect_same_mrp_result(mrp_optimize(banks[i], opts), four[i]);
   }
 }
 
@@ -634,6 +656,9 @@ TEST(Mrp, PooledSolveMatchesSerialAndRecordsStageTimers) {
     std::vector<i64> bank;
     for (int t = 0; t < 40; ++t) bank.push_back(rng.next_int(-32767, 32767));
     banks.push_back(std::move(bank));
+  }
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    banks.push_back(catalog_bank(i));
   }
   for (const std::vector<i64>& bank : banks) {
     MrpOptions serial_opts;

@@ -1,7 +1,8 @@
 // The exec module: plan compilation (dead-op elimination, slot reuse,
 // shift/negate fusion, width analysis), lane-blocked engine execution,
-// streaming push/reset semantics, batch channels, the MRPF_EXEC knob, and
-// the StageTimers JSON fragment the throughput bench embeds.
+// bit-identity against naive convolution on the catalog, streaming
+// push/reset semantics, batch channels, the MRPF_EXEC knob, and stage
+// timer accumulation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,7 +12,9 @@
 #include "mrpf/common/env.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
+#include "mrpf/core/plan_equality.hpp"
 #include "mrpf/core/stage_timers.hpp"
+#include "mrpf/dsp/convolve.hpp"
 #include "mrpf/exec/compile.hpp"
 #include "mrpf/exec/engine.hpp"
 #include "mrpf/exec/streaming.hpp"
@@ -214,6 +217,62 @@ TEST(ExecEngine, RunBatchMatchesSerialPerChannel) {
   }
 }
 
+TEST(ExecEngine, CatalogStreamsEqualNaiveConvolutionInEveryRunMode) {
+  // Catalog filters 0-3 (W=16, maximally scaled) under mrpf, and filter 0
+  // under every other scheme: 8192 samples at the widest input the
+  // compiled path proves exact, capped at 16 bits. The interpreter, the
+  // compiled engine, a randomly chunked StreamingFilter on the vector
+  // engine and four run_batch channels all reproduce naive convolution.
+  std::vector<std::pair<int, core::Scheme>> rows;
+  for (int i = 0; i < 4; ++i) rows.emplace_back(i, core::Scheme::kMrp);
+  for (const core::Scheme s : core::all_schemes()) {
+    if (s != core::Scheme::kMrp) rows.emplace_back(0, s);
+  }
+  for (const auto& [idx, scheme] : rows) {
+    SCOPED_TRACE(testing::Message()
+                 << "filter " << idx << " " << core::to_string(scheme));
+    const arch::TdfFilter f = core::build_tdf(
+        number::quantize_maximal(filter::catalog_coefficients(idx), 16),
+        scheme);
+    const ExecProgram p = compile(f);
+    const int input_bits = std::min(16, p.max_input_bits);
+    Rng rng(0x7B1u + static_cast<u64>(idx) * 131u + static_cast<u64>(scheme));
+    const std::vector<i64> x = sim::uniform_stream(rng, 1 << 13, input_bits);
+    const std::vector<i64> naive =
+        dsp::fir_filter_exact(f.coefficients(), f.alignment(), x);
+    EXPECT_EQ(core::stream_mismatch(naive, f.run(x), "interpreted"),
+              std::nullopt);
+
+    ExecEngine engine(p);
+    std::vector<i64> compiled(x.size());
+    engine.run(x.data(), compiled.data(), x.size());
+    EXPECT_EQ(core::stream_mismatch(naive, compiled, "compiled"),
+              std::nullopt);
+
+    ExecConfig config;
+    config.input_bits = input_bits;
+    StreamingFilter sf(f, config);
+    EXPECT_EQ(sf.mode(), ExecMode::kVector);
+    std::vector<i64> chunked;
+    for (std::size_t at = 0; at < x.size();) {
+      const std::size_t take =
+          std::min<std::size_t>(x.size() - at, 1 + rng.next_below(37));
+      const std::vector<i64> out = sf.push(std::vector<i64>(
+          x.begin() + static_cast<std::ptrdiff_t>(at),
+          x.begin() + static_cast<std::ptrdiff_t>(at + take)));
+      chunked.insert(chunked.end(), out.begin(), out.end());
+      at += take;
+    }
+    EXPECT_EQ(core::stream_mismatch(naive, chunked, "chunked"), std::nullopt);
+
+    for (const std::vector<i64>& channel :
+         run_batch(p, std::vector<std::vector<i64>>(4, x))) {
+      EXPECT_EQ(core::stream_mismatch(naive, channel, "run_batch"),
+                std::nullopt);
+    }
+  }
+}
+
 TEST(StreamingFilter, ChunkedPushesEqualOneRun) {
   const arch::TdfFilter f = make_filter();
   Rng rng(0xE4);
@@ -296,7 +355,7 @@ TEST(ExecEnv, KnobParsesAndMalformedValuesFallBackWithOneWarning) {
   ::unsetenv("MRPF_EXEC");
 }
 
-TEST(ExecTimers, AccumulateIsMonotoneAndJsonNamesEveryStage) {
+TEST(ExecTimers, AccumulateIsMonotone) {
   core::StageTimers a;
   a.exec_compile.ns = 10;
   a.exec_compile.items = 2;
@@ -318,15 +377,6 @@ TEST(ExecTimers, AccumulateIsMonotoneAndJsonNamesEveryStage) {
   const double before = a.exec_run.ns;
   core::accumulate(a, b);
   EXPECT_GT(a.exec_run.ns, before);
-
-  const std::string json = stage_timers_json(a, "");
-  for (const char* key :
-       {"\"primaries\"", "\"color_graph\"", "\"set_cover\"",
-        "\"tree_growth\"", "\"seed_synthesis\"", "\"optimize\"",
-        "\"lowering\"", "\"exec.compile\"", "\"exec.run\"",
-        "\"total_ms\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
 }
 
 }  // namespace

@@ -162,13 +162,19 @@ TEST(SchemeDriver, CachedEqualsFreshForEverySchemeAndThreadCount) {
   // The acceptance criterion of the unified cache: for every scheme, a
   // cached result — both a warm in-memory hit and a disk-rehydrated hit —
   // is field-for-field identical to a fresh (uncached) solve, at 1, 2 and
-  // 8 threads.
-  const std::vector<std::vector<i64>> banks = {
+  // 8 threads, and the warm pass makes no live solve. The banks include
+  // catalog filters 0-3, uniformly scaled at W=12.
+  std::vector<std::vector<i64>> banks = {
       {7, 66, 17, 9, 27, 41, 57, 11},
       {3, 5, 19, 21},
       {693, 693, 1, -44, 120},
       {0, 7, 0, -7, 14, 0},
   };
+  for (int i = 0; i < 4; ++i) {
+    banks.push_back(optimization_bank(
+        number::quantize_uniform(filter::catalog_coefficients(i), 12)
+            .values()));
+  }
   for (const Scheme scheme : all_schemes()) {
     const std::size_t si = static_cast<std::size_t>(scheme);
     std::vector<SchemeResult> fresh;

@@ -13,15 +13,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mrpf/common/error.hpp"
+#include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
+#include "mrpf/filter/catalog.hpp"
 #include "mrpf/core/plan_equality.hpp"
 #include "mrpf/io/frame_assembler.hpp"
+#include "mrpf/number/quantize.hpp"
 #include "mrpf/serve/client.hpp"
 #include "mrpf/serve/inflight.hpp"
 #include "mrpf/serve/protocol.hpp"
@@ -503,6 +507,118 @@ TEST(Server, DrainPersistsTheCacheAndRefusesNewConnections) {
     EXPECT_TRUE(resp.cache_hit);
   }
   std::remove(store.c_str());
+}
+
+/// Sends `requests` round-robin over `connections` concurrent clients and
+/// returns whether each was answered from the cache, in request order.
+/// Every plan must equal a direct, daemon-free solve of its request.
+std::vector<int> run_phase(const std::string& path,
+                           const std::vector<SynthRequest>& requests,
+                           int connections) {
+  std::vector<int> hits(requests.size(), 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < connections; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        ServeClient client;
+        client.connect_unix(path);
+        for (std::size_t i = static_cast<std::size_t>(c); i < requests.size();
+             i += static_cast<std::size_t>(connections)) {
+          const SynthRequest& req = requests[i];
+          const SynthResponse resp = client.synth(req);
+          hits[i] = resp.cache_hit ? 1 : 0;
+          const core::SchemeResult direct =
+              core::optimize_bank(req.bank, req.scheme, req.to_options());
+          EXPECT_EQ(core::plan_mismatch(resp.plan, direct.plan), std::nullopt)
+              << "request " << i;
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "client " << c << ": " << e.what();
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return hits;
+}
+
+TEST(Server, CatalogLoadSolvesEachClassOnceAndAnswersBitIdentical) {
+  // Four connections against a four-worker daemon. Cold: six distinct
+  // catalog banks under simple, cse, mrpf and mrpf+cse, all fresh. Herd:
+  // 24 mrpf requests, equivalent variants of two unseen banks, one fresh
+  // solve per class and every other request a hit. Warm: the cold banks
+  // again, all hits. No error frame, the drain persists the store, and a
+  // daemon without coalescing answers the herd bit-identically too.
+  std::vector<std::vector<i64>> pool;
+  for (int i = 0; pool.size() < 12; ++i) {
+    for (const int w : {12, 16}) {
+      for (const bool maximal : {false, true}) {
+        const std::vector<double>& h = filter::catalog_coefficients(i);
+        pool.push_back(core::optimization_bank(
+            (maximal ? number::quantize_maximal(h, w)
+                     : number::quantize_uniform(h, w))
+                .values()));
+      }
+    }
+  }
+  const core::Scheme schemes[] = {core::Scheme::kSimple, core::Scheme::kCse,
+                                  core::Scheme::kMrp, core::Scheme::kMrpCse};
+  std::vector<SynthRequest> cold(6);
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    cold[i].bank = pool[i];
+    cold[i].scheme = schemes[i % 4];
+  }
+  Rng rng(20260809u);
+  std::vector<SynthRequest> herd(24);
+  for (std::size_t i = 0; i < herd.size(); ++i) {
+    // A shuffled, sign-flipped, doubled and zero-padded variant: the same
+    // canonical solve key, a different bank on the wire.
+    std::vector<i64> bank = pool[6 + i % 2];
+    for (std::size_t k = bank.size(); k > 1; --k) {
+      std::swap(bank[k - 1], bank[static_cast<std::size_t>(rng.next_below(k))]);
+    }
+    for (i64& v : bank) {
+      if (rng.next_below(2) == 0) v = -v;
+      if (v != 0 && rng.next_below(3) == 0 && std::llabs(v) < (i64{1} << 40)) {
+        v *= 2;
+      }
+    }
+    if (rng.next_below(2) == 0) bank.push_back(0);
+    herd[i].bank = std::move(bank);
+    herd[i].scheme = core::Scheme::kMrp;
+  }
+
+  const std::string store =
+      "/tmp/mrpf_test_load." + std::to_string(::getpid()) + ".mrpc";
+  std::remove(store.c_str());
+  {
+    ServeConfig config;
+    config.workers = 4;
+    config.cache_path = store;
+    ServerFixture fx(std::move(config), "load");
+    for (const int hit : run_phase(fx.path, cold, 4)) EXPECT_EQ(hit, 0);
+    const std::vector<int> herd_hits = run_phase(fx.path, herd, 4);
+    for (std::size_t klass = 0; klass < 2; ++klass) {
+      int fresh = 0;
+      for (std::size_t i = klass; i < herd.size(); i += 2) {
+        fresh += 1 - herd_hits[i];
+      }
+      EXPECT_EQ(fresh, 1) << "herd class " << klass;
+    }
+    for (const int hit : run_phase(fx.path, cold, 4)) EXPECT_EQ(hit, 1);
+    EXPECT_EQ(fx.server.stats_frame().errors, 0u);
+
+    fx.server.request_shutdown();
+    fx.thread.join();
+    EXPECT_TRUE(fx.server.cache_persisted());
+    EXPECT_TRUE(std::ifstream(store).good());
+  }
+  std::remove(store.c_str());
+
+  ServeConfig no_coalesce;
+  no_coalesce.coalesce = false;
+  ServerFixture fx(std::move(no_coalesce), "load_nc");
+  const std::vector<SynthRequest> first_four(herd.begin(), herd.begin() + 4);
+  EXPECT_EQ(run_phase(fx.path, first_four, 2).size(), 4u);
 }
 
 TEST(Server, StatsCountersTrackTraffic) {
