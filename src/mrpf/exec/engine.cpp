@@ -14,27 +14,34 @@ namespace {
 constexpr int kMaxLanes = 64;
 constexpr std::size_t kSlotFileBudgetBytes = 32 * 1024;
 
-// One 128-bit vector of lanes (SSE2 on baseline x86-64, NEON on AArch64).
-// Written with the GCC/Clang vector extension so the kernel runs vector
-// ops at any optimization level instead of relying on the loop
-// vectorizer, which leaves these loops scalar at -O2.
-typedef u64 V __attribute__((vector_size(16)));
-typedef i64 SV __attribute__((vector_size(16)));
+// One 256-bit vector of four u64 lanes. Written with the GCC/Clang vector
+// extension so the kernel runs vector ops at any optimization level
+// instead of relying on the loop vectorizer, which leaves these loops
+// scalar at -O2. Where the target lacks 256-bit registers the compiler
+// splits each operation into two 128-bit ones (SSE2 on baseline x86-64,
+// NEON on AArch64), so one source serves every target.
+typedef u64 V __attribute__((vector_size(32)));
+typedef i64 SV __attribute__((vector_size(32)));
 constexpr std::size_t kVecLanes = sizeof(V) / sizeof(u64);
 
+// On x86-64, run_block is compiled twice, for AVX2 and for the baseline,
+// and the loader picks the clone the CPU supports.
+#if defined(__x86_64__)
+#define MRPF_EXEC_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define MRPF_EXEC_CLONES
+#endif
+
 // Slots and the output window are i64 arrays read at arbitrary lane
-// offsets, so vectors move through memcpy (unaligned, alias-safe).
-V load(const i64* p) {
-  V v{};
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+// offsets, so vectors move through memcpy (unaligned, alias-safe). They
+// pass by reference: a vector passed or returned by value would take a
+// different calling convention in each clone.
+void load(V& v, const i64* p) { std::memcpy(&v, p, sizeof v); }
+void store(i64* p, const V& v) { std::memcpy(p, &v, sizeof v); }
 
-void store(i64* p, V v) { std::memcpy(p, &v, sizeof v); }
-
-// Arithmetic right shift of every lane.
-V shift_right(V v, int s) {
-  return reinterpret_cast<V>(reinterpret_cast<SV>(v) >> s);
+// Arithmetic right shift of every lane, in place.
+void shift_right(V& v, int s) {
+  v = reinterpret_cast<V>(reinterpret_cast<SV>(v) >> s);
 }
 
 std::size_t round_up_to_vector(std::size_t lanes) {
@@ -77,19 +84,20 @@ ExecEngine::ExecEngine(const ExecProgram& program, int lanes)
 
 void ExecEngine::reset() { std::fill(acc_.begin(), acc_.end(), 0); }
 
+MRPF_EXEC_CLONES
 void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
   // A block of m samples runs ceil(m / kVecLanes) vectors; n is that many
-  // lanes, m or m + 1 (<= stride_).
+  // lanes, m up to m + kVecLanes - 1 (<= stride_).
   const std::size_t n = round_up_to_vector(m);
   const auto slot = [regs = regs_.data(), stride = stride_](int s) {
     return regs + static_cast<std::size_t>(s) * stride;
   };
 
-  // Load the input block. A padding lane of an odd block carries zero, so
-  // the ops compute a zero contribution for it (0 in, 0 out).
+  // Load the input block. The padding lanes of a short block carry zero,
+  // so the ops compute a zero contribution for them (0 in, 0 out).
   i64* in = slot(program_->input_slot);
   std::memcpy(in, x, m * sizeof(i64));
-  if (n > m) in[m] = 0;
+  std::fill(in + m, in + n, 0);
 
   // Fused ops, lane-parallel. Wrap (unsigned) arithmetic: the compile-time
   // width analysis guarantees every true value fits int64, and mod-2^64
@@ -103,11 +111,17 @@ void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
     const int sb = op.shift_b;
     if (op.subtract) {
       for (std::size_t l = 0; l < n; l += kVecLanes) {
-        store(d + l, (load(a + l) << sa) - (load(b + l) << sb));
+        V va{}, vb{};
+        load(va, a + l);
+        load(vb, b + l);
+        store(d + l, (va << sa) - (vb << sb));
       }
     } else {
       for (std::size_t l = 0; l < n; l += kVecLanes) {
-        store(d + l, (load(a + l) << sa) + (load(b + l) << sb));
+        V va{}, vb{};
+        load(va, a + l);
+        load(vb, b + l);
+        store(d + l, (va << sa) + (vb << sb));
       }
     }
   }
@@ -125,11 +139,17 @@ void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
     if (sh >= 0) {
       if (tap.negate) {
         for (std::size_t l = 0; l < n; l += kVecLanes) {
-          store(dst + l, load(dst + l) - (load(src + l) << sh));
+          V acc{}, v{};
+          load(acc, dst + l);
+          load(v, src + l);
+          store(dst + l, acc - (v << sh));
         }
       } else {
         for (std::size_t l = 0; l < n; l += kVecLanes) {
-          store(dst + l, load(dst + l) + (load(src + l) << sh));
+          V acc{}, v{};
+          load(acc, dst + l);
+          load(v, src + l);
+          store(dst + l, acc + (v << sh));
         }
       }
     } else {
@@ -137,11 +157,19 @@ void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
       // invariant), so the arithmetic right shift is exact division.
       if (tap.negate) {
         for (std::size_t l = 0; l < n; l += kVecLanes) {
-          store(dst + l, load(dst + l) - shift_right(load(src + l), -sh));
+          V acc{}, v{};
+          load(acc, dst + l);
+          load(v, src + l);
+          shift_right(v, -sh);
+          store(dst + l, acc - v);
         }
       } else {
         for (std::size_t l = 0; l < n; l += kVecLanes) {
-          store(dst + l, load(dst + l) + shift_right(load(src + l), -sh));
+          V acc{}, v{};
+          load(acc, dst + l);
+          load(v, src + l);
+          shift_right(v, -sh);
+          store(dst + l, acc + v);
         }
       }
     }

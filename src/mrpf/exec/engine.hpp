@@ -6,14 +6,16 @@
 //   load W input samples  ->  run the fused ops lane-parallel  ->  add each
 //   fused tap's W products into the window at its delay offset  ->  emit W
 //   outputs and slide the carry.
-// Every inner loop steps through the lanes in explicit 128-bit vectors of
-// two u64 lanes (the GCC/Clang vector extension), so it runs vector code
-// at -O2 without relying on the loop vectorizer. Each slot's lanes are
-// padded to whole vectors, and a short block of m samples runs ⌈m/2⌉
-// vectors. All arithmetic is unsigned 64-bit wrap, which the compiler
-// proved exact for inputs up to program.max_input_bits (see compile.cpp's
-// width analysis). Outputs are bit-identical to arch::TdfFilter::run
-// sample for sample, across any split of the stream into run() calls.
+// Every inner loop steps through the lanes in explicit 256-bit vectors of
+// four u64 lanes (the GCC/Clang vector extension), so it runs vector code
+// at -O2 without relying on the loop vectorizer; on x86-64 the block
+// kernel has an AVX2 clone and a baseline one that runs each vector as
+// two SSE2 halves. Each slot's lanes are padded to whole vectors, and a
+// short block of m samples runs ⌈m/4⌉ vectors. All arithmetic is
+// unsigned 64-bit wrap, which the compiler proved exact for inputs up to
+// program.max_input_bits (see compile.cpp's width analysis). Outputs are
+// bit-identical to arch::TdfFilter::run sample for sample, across any
+// split of the stream into run() calls.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +26,8 @@
 namespace mrpf::exec {
 
 /// Lane width used when the caller passes 0: 64, halved while the slot
-/// file would outgrow a 32 KiB L1 data cache.
+/// file would outgrow a 32 KiB L1 data cache, but never below one vector
+/// (4 lanes).
 int default_lane_width(const ExecProgram& program);
 
 class ExecEngine {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/number/csd.hpp"
@@ -37,6 +38,18 @@ static_assert(kMaxClasses * 12 <= kIndexSlots &&
 std::size_t home_slot(u64 value) {
   return static_cast<std::size_t>((value * 0x9E3779B97F4A7C15ULL) >>
                                   (64 - kIndexBits));
+}
+
+/// The shifts k = 1, 2, ... saturation tries for the class pair (p, q):
+/// all k with bit_width(q) + k within the hard bit limit and q << k at
+/// most 2^bit_limit + p (past that every result it could admit is too
+/// wide). Both bounds grow with k, so this is the largest such k, or 0.
+int shift_count(u64 p, u64 q, int bit_limit) {
+  const u64 reach = (u64{1} << bit_limit) + p;  // < 2^62
+  const int q_bits = static_cast<int>(std::bit_width(q));
+  int k = static_cast<int>(std::bit_width(reach)) - q_bits;
+  if (k >= 0 && (q << k) > reach) --k;  // q << k has bit_width(reach) bits
+  return std::max(0, std::min(k, kHardBitLimit - q_bits));
 }
 
 }  // namespace
@@ -264,16 +277,19 @@ long long EGraph::saturate(long long budget) {
       break;
     }
     // Combine every ordered (unshifted p, shifted q) pair with at least
-    // one member admitted since the previous round, shifts ascending.
-    for (std::size_t p = 0; p < old_n && !exhausted; ++p) {
+    // one member admitted since the previous round, shifts ascending. Once
+    // the class cap is full, the capped pass finishes the round.
+    bool capped = false;
+    for (std::size_t p = 0; p < old_n && !exhausted && !capped; ++p) {
       const std::size_t q_begin = p >= fresh ? 0 : fresh;
       for (std::size_t q = q_begin; q < old_n && !exhausted; ++q) {
-        const u64 pv = values_[p];
-        const u64 qv = values_[q];
-        const u64 limit = u64{1} << bit_limit_;
-        for (int k = 1; k < 62; ++k) {
-          if (std::bit_width(qv) + k > kHardBitLimit) break;
-          if ((qv << k) > limit + pv) break;  // every result exceeds the cap
+        if (values_.size() == kMaxClasses) {
+          exhausted = finish_capped_round(p, q, fresh, old_n, budget, steps);
+          capped = true;
+          break;
+        }
+        const int shifts = shift_count(values_[p], values_[q], bit_limit_);
+        for (int k = 1; k <= shifts; ++k) {
           if (steps >= budget) {
             exhausted = true;
             break;
@@ -289,6 +305,76 @@ long long EGraph::saturate(long long budget) {
     frontier_start_ = old_n;
   }
   return steps;
+}
+
+bool EGraph::finish_capped_round(std::size_t p0, std::size_t q0,
+                                 std::size_t fresh, std::size_t old_n,
+                                 long long budget, long long& steps) {
+  // The round's remaining pairs: p from p0 on, q from first_q(p) on.
+  const auto first_q = [p0, q0, fresh](std::size_t p) {
+    return p == p0 ? q0 : p >= fresh ? std::size_t{0} : fresh;
+  };
+
+  // Steps, as the loop counts them: each remaining pair's shift count,
+  // up to the first pair the budget cuts, which keeps the shifts it can
+  // still pay for. A pair with no shifts never cuts, so a round that
+  // spends the budget exactly on its last shift ends unexhausted.
+  std::size_t cut_p = old_n;  // the cut pair, or old_n when none
+  std::size_t cut_q = 0;
+  int cut_k = 0;              // shifts the cut pair keeps
+  for (std::size_t p = p0; p < old_n && cut_p == old_n; ++p) {
+    for (std::size_t q = first_q(p); q < old_n; ++q) {
+      const int shifts = shift_count(values_[p], values_[q], bit_limit_);
+      const long long room = steps < budget ? budget - steps : 0;
+      if (shifts > room) {
+        cut_p = p;
+        cut_q = q;
+        cut_k = static_cast<int>(room);
+        steps += room;
+        break;
+      }
+      steps += shifts;
+    }
+  }
+
+  // Constructions. No class can open, so each class's list depends only
+  // on the order its constructions arrive in, which is the loop's pair
+  // order. Class c gains one from p exactly when |c - p| (c = p + (q<<k)
+  // or p - (q<<k)) or c + p (c = (q<<k) - p) is q << k for a class q, so
+  // read (q, k) off those two values instead of probing every shift, and
+  // keep the ones the loop reaches in this round before the cut.
+  const std::size_t p_end = std::min(cut_p + 1, old_n);
+  for (std::size_t c = 1; c < values_.size(); ++c) {
+    const u64 cv = values_[c];
+    for (std::size_t p = p0; p < p_end && cons_[c].size() < kMaxCons; ++p) {
+      const u64 pv = values_[p];
+      const std::size_t q_lo = first_q(p);
+      Cons found[2];
+      int n_found = 0;
+      const auto derive = [&](u64 s, Kind kind) {
+        const int k = std::countr_zero(s);
+        const int q = find_class(s >> k);
+        if (q < 0) return;
+        const std::size_t qi = static_cast<std::size_t>(q);
+        if (qi < q_lo || qi >= old_n) return;
+        if (k > shift_count(pv, values_[qi], bit_limit_)) return;
+        if (p == cut_p && (qi > cut_q || (qi == cut_q && k > cut_k))) return;
+        found[n_found++] = {static_cast<int>(p), q, k, kind};
+      };
+      if (cv != pv) derive(cv > pv ? cv - pv : pv - cv,
+                           cv > pv ? Kind::kAdd : Kind::kSubP);
+      derive(cv + pv, Kind::kSubQ);
+      if (n_found == 2 && (found[1].q < found[0].q ||
+                           (found[1].q == found[0].q &&
+                            found[1].shift < found[0].shift))) {
+        std::swap(found[0], found[1]);
+      }
+      for (int i = 0; i < n_found; ++i) {
+        add_cons(static_cast<int>(c), found[i]);
+      }
+    }
+  }
+  return cut_p < old_n;
 }
 
 Extraction EGraph::extract() const {

@@ -25,10 +25,16 @@
 // result). A new value becomes a class only while the class cap is open.
 //
 // On real banks the class cap, not closure, bounds the class set: seeding
-// usually fills it, so most saturation candidates are misses the full cap
-// refuses (docs/architecture.md §2 has the measured mix). The class index
-// is one open-addressed table of class ids, so lookup and admission, hit
-// or miss, are each one short probe.
+// usually fills it, and once it is full no class can open, so the rest of
+// saturation only adds constructions to existing classes. From the first
+// pair a round reaches with the cap full, it finishes in one capped pass:
+// the remaining pairs' steps are counted in closed form, and class c's
+// constructions are read off its differential coefficients |c - p| and
+// c + p, which equal q << k exactly when (p, q, k) builds c. Each class
+// receives its constructions in the loop's order, so graphs, step counts
+// and extractions are bit-identical to probing every candidate
+// (docs/architecture.md §2). The class index is one open-addressed table
+// of class ids, so lookup and admission are each one short probe.
 //
 // Extraction finds the cheapest DAG realizing all targets: a Bellman fixed
 // point computes exact per-class tree costs, then a memoized greedy emit
@@ -63,9 +69,10 @@ class EGraph {
          const std::vector<i64>& targets);
 
   /// Runs equality saturation under `budget` steps (one step = one
-  /// candidate (p, q, shift) combination evaluated). Returns the steps
-  /// actually spent. Reaching a fixpoint before the budget runs out sets
-  /// saturated().
+  /// candidate (p, q, shift) combination). Steps are counted as the loop
+  /// counts them; past the class cap, only candidates that can reach a
+  /// class are looked up. Returns the steps actually spent. Reaching a
+  /// fixpoint before the budget runs out sets saturated().
   long long saturate(long long budget);
 
   bool saturated() const { return saturated_; }
@@ -93,9 +100,10 @@ class EGraph {
   int find_class(u64 value) const;  // -1 when absent
   /// Hash-consed admission: returns the class id of `value`, creating it
   /// when new and admissible (odd, within the bit limit, class cap not
-  /// hit); -1 when inadmissible. It and admit_combination run twice per
-  /// saturation step, so both are inline (defined in egraph.cpp, their
-  /// only caller); opening a class is the out-of-line half.
+  /// hit); -1 when inadmissible. Until the class cap is full, it and
+  /// admit_combination run twice per saturation step, so both are inline
+  /// (defined in egraph.cpp, their only caller); opening a class is the
+  /// out-of-line half.
   inline int add_class(u64 value);
   /// Appends `value` as a new class whose index slot is `slot`.
   int open_class(std::size_t slot, u64 value);
@@ -106,6 +114,13 @@ class EGraph {
   /// class and construction.
   inline void admit_combination(int p_cls, bool p_neg, int q_cls, int k,
                                 bool q_neg);
+  /// Finishes a saturation round, from its pair (p0, q0) on, once the
+  /// class cap is full: adds the remaining pairs' steps to `steps` and
+  /// their constructions to every class, exactly as the loop would, and
+  /// returns whether the budget cut the round.
+  bool finish_capped_round(std::size_t p0, std::size_t q0, std::size_t fresh,
+                           std::size_t old_n, long long budget,
+                           long long& steps);
   void seed_from_ops(const std::vector<arch::AdderOp>& plan_ops);
   void seed_csd_chain(u64 target);
   void seed_target_pairs();

@@ -121,9 +121,9 @@ TEST(ExecEngine, DefaultLaneWidthHalvesPastTheL1Budget) {
   EXPECT_EQ(default_lane_width(p), 32);
   p.n_slots = 1000;
   EXPECT_EQ(default_lane_width(p), 4);
-  // Never narrower than one vector.
+  // Never narrower than one vector (four lanes).
   p.n_slots = 1 << 20;
-  EXPECT_EQ(default_lane_width(p), 2);
+  EXPECT_EQ(default_lane_width(p), 4);
   // Every catalog filter keeps the full default width.
   for (int i = 0; i < filter::catalog_size(); ++i) {
     const ExecProgram c = compile(core::build_tdf(

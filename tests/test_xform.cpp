@@ -2,8 +2,9 @@
 //
 // Two layers of coverage:
 //  - EGraph units: deterministic saturation/extraction, known identities
-//    the rewriter must find, the odd-fundamental admission rules, and a
-//    golden pin of saturate()/extract() on the Table-1 catalog banks.
+//    the rewriter must find, the odd-fundamental admission rules, and
+//    golden pins of saturate()/extract() on the Table-1 catalog banks, at
+//    fixed budgets and at the budget boundaries.
 //  - The pass property, the contract everything downstream leans on:
 //    for every scheme, over seeded random banks, the pass-optimized plan
 //    re-lowers cleanly (every tap realizes its constant), streams
@@ -281,6 +282,18 @@ const GoldenRun kGoldenRuns[] = {
     {387147, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @500000
 };
 
+/// Runs saturate(budget) on `graph`, then extracts, and checks every
+/// field of the outcome against `want`.
+void expect_golden_run(xform::EGraph& graph, long long budget,
+                       const GoldenRun& want, const std::string& where) {
+  EXPECT_EQ(graph.saturate(budget), want.steps) << where;
+  EXPECT_EQ(graph.saturated(), want.saturated) << where;
+  EXPECT_EQ(graph.num_classes(), want.classes) << where;
+  const xform::Extraction ex = graph.extract();
+  EXPECT_EQ(ex.ops.size(), want.ops) << where;
+  EXPECT_EQ(extraction_digest(ex), want.digest) << where;
+}
+
 TEST(EGraph, GoldenOnCatalogBanks) {
   const std::vector<GoldenCase> cases = golden_cases();
   ASSERT_EQ(inputs_digest(cases), kGoldenInputsDigest)
@@ -290,14 +303,264 @@ TEST(EGraph, GoldenOnCatalogBanks) {
   std::size_t row = 0;
   for (const GoldenCase& c : cases) {
     for (const long long budget : {10'000LL, 500'000LL}) {
-      const GoldenRun& want = kGoldenRuns[row++];
       xform::EGraph graph(c.plan_ops, c.targets);
-      EXPECT_EQ(graph.saturate(budget), want.steps) << c.name << " @" << budget;
-      EXPECT_EQ(graph.saturated(), want.saturated) << c.name << " @" << budget;
-      EXPECT_EQ(graph.num_classes(), want.classes) << c.name << " @" << budget;
-      const xform::Extraction ex = graph.extract();
-      EXPECT_EQ(ex.ops.size(), want.ops) << c.name << " @" << budget;
-      EXPECT_EQ(extraction_digest(ex), want.digest) << c.name << " @" << budget;
+      expect_golden_run(graph, budget, kGoldenRuns[row++],
+                        c.name + " @" + std::to_string(budget));
+    }
+  }
+}
+
+// Captured before saturation finished a round in one capped pass once the
+// class cap is full. Rows follow golden_cases(), eight per case: budgets
+// 1, 1'000 and 60'000; the case's fixpoint step count F (its @500000 row
+// in kGoldenRuns) -1, exact and +1, so a budget that ends one step short
+// reads exhausted and the exact one saturated; then ("@N;2nd") a second
+// saturate() call, budget 500'000, on a graph first cut at N = 1 and
+// N = 100 steps. Every case seeded below the cap except {5,45} fills it
+// within its first 100 steps, in the middle of round one, so these rows
+// cut the loop, the hand-over to the capped pass and the capped pass.
+const GoldenRun kBoundaryRuns[] = {
+    {1, false, 160, 29, 0x91446c3bc977ae73ULL},  // max16/0 @1
+    {1000, false, 160, 28, 0xd02c0dd4261e2128ULL},  // max16/0 @1000
+    {60000, false, 160, 22, 0x1121bb9614f1542eULL},  // max16/0 @60000
+    {166423, false, 160, 22, 0x1121bb9614f1542eULL},  // max16/0 @F-1
+    {166424, true, 160, 22, 0x1121bb9614f1542eULL},  // max16/0 @F
+    {166424, true, 160, 22, 0x1121bb9614f1542eULL},  // max16/0 @F+1
+    {0, true, 160, 29, 0x91446c3bc977ae73ULL},  // max16/0 @1;2nd
+    {0, true, 160, 29, 0x91446c3bc977ae73ULL},  // max16/0 @100;2nd
+    {1, false, 160, 40, 0xc3774145daed81cbULL},  // max16/1 @1
+    {1000, false, 160, 38, 0xce46efacea35506bULL},  // max16/1 @1000
+    {60000, false, 160, 28, 0xdf63a114e03e87c2ULL},  // max16/1 @60000
+    {157659, false, 160, 28, 0xdf63a114e03e87c2ULL},  // max16/1 @F-1
+    {157660, true, 160, 28, 0xdf63a114e03e87c2ULL},  // max16/1 @F
+    {157660, true, 160, 28, 0xdf63a114e03e87c2ULL},  // max16/1 @F+1
+    {0, true, 160, 40, 0xc3774145daed81cbULL},  // max16/1 @1;2nd
+    {0, true, 160, 39, 0xc19033da8c0432cfULL},  // max16/1 @100;2nd
+    {1, false, 160, 41, 0x71715ea8a8720419ULL},  // max16/2 @1
+    {1000, false, 160, 38, 0x1bb83c68b3016177ULL},  // max16/2 @1000
+    {60000, false, 160, 32, 0xf31416ec3b874b83ULL},  // max16/2 @60000
+    {157004, false, 160, 32, 0xf31416ec3b874b83ULL},  // max16/2 @F-1
+    {157005, true, 160, 32, 0xf31416ec3b874b83ULL},  // max16/2 @F
+    {157005, true, 160, 32, 0xf31416ec3b874b83ULL},  // max16/2 @F+1
+    {0, true, 160, 41, 0x71715ea8a8720419ULL},  // max16/2 @1;2nd
+    {0, true, 160, 39, 0x3963436ad51197daULL},  // max16/2 @100;2nd
+    {1, false, 160, 43, 0x41715550b50e00d8ULL},  // max16/3 @1
+    {1000, false, 160, 42, 0x256e762b9597ac19ULL},  // max16/3 @1000
+    {60000, false, 160, 40, 0x8727d4dd80b0afaaULL},  // max16/3 @60000
+    {156873, false, 160, 39, 0x661ab4aa90adbd6eULL},  // max16/3 @F-1
+    {156874, true, 160, 39, 0x661ab4aa90adbd6eULL},  // max16/3 @F
+    {156874, true, 160, 39, 0x661ab4aa90adbd6eULL},  // max16/3 @F+1
+    {0, true, 160, 43, 0x41715550b50e00d8ULL},  // max16/3 @1;2nd
+    {0, true, 160, 43, 0xbcc61d1f14f2dac7ULL},  // max16/3 @100;2nd
+    {1, false, 160, 55, 0x09491b4d476948e8ULL},  // max16/4 @1
+    {1000, false, 160, 52, 0x907276eebdf58fc4ULL},  // max16/4 @1000
+    {60000, false, 160, 48, 0x3694f2172800108cULL},  // max16/4 @60000
+    {162270, false, 160, 45, 0xb7052895648af407ULL},  // max16/4 @F-1
+    {162271, true, 160, 45, 0xb7052895648af407ULL},  // max16/4 @F
+    {162271, true, 160, 45, 0xb7052895648af407ULL},  // max16/4 @F+1
+    {0, true, 160, 55, 0x09491b4d476948e8ULL},  // max16/4 @1;2nd
+    {0, true, 160, 55, 0x09491b4d476948e8ULL},  // max16/4 @100;2nd
+    {1, false, 160, 65, 0x99327a098cc61cb4ULL},  // max16/5 @1
+    {1000, false, 160, 65, 0xc01360ef56bd2771ULL},  // max16/5 @1000
+    {60000, false, 160, 54, 0x753ab7ae9c072ae5ULL},  // max16/5 @60000
+    {156277, false, 160, 49, 0xd982e0a611684a66ULL},  // max16/5 @F-1
+    {156278, true, 160, 49, 0xd982e0a611684a66ULL},  // max16/5 @F
+    {156278, true, 160, 49, 0xd982e0a611684a66ULL},  // max16/5 @F+1
+    {0, true, 160, 65, 0x99327a098cc61cb4ULL},  // max16/5 @1;2nd
+    {0, true, 160, 65, 0xc01360ef56bd2771ULL},  // max16/5 @100;2nd
+    {1, false, 160, 71, 0x3b0f6f53b8f994e5ULL},  // max16/6 @1
+    {1000, false, 160, 69, 0xa9bd6cb9fdbc3981ULL},  // max16/6 @1000
+    {60000, false, 160, 58, 0x33b5e1835d759f4cULL},  // max16/6 @60000
+    {161478, false, 160, 54, 0xf61d6358f41c859cULL},  // max16/6 @F-1
+    {161479, true, 160, 54, 0xf61d6358f41c859cULL},  // max16/6 @F
+    {161479, true, 160, 54, 0xf61d6358f41c859cULL},  // max16/6 @F+1
+    {0, true, 160, 71, 0x3b0f6f53b8f994e5ULL},  // max16/6 @1;2nd
+    {0, true, 160, 71, 0x0412edbb1f963f8aULL},  // max16/6 @100;2nd
+    {1, false, 160, 75, 0x61a15fbec721480dULL},  // max16/7 @1
+    {1000, false, 160, 74, 0x6a3f95bdc1355cc7ULL},  // max16/7 @1000
+    {60000, false, 160, 60, 0x59ac0dda837d8b33ULL},  // max16/7 @60000
+    {161809, false, 160, 57, 0x556758e571a833dcULL},  // max16/7 @F-1
+    {161810, true, 160, 57, 0x556758e571a833dcULL},  // max16/7 @F
+    {161810, true, 160, 57, 0x556758e571a833dcULL},  // max16/7 @F+1
+    {0, true, 160, 75, 0x61a15fbec721480dULL},  // max16/7 @1;2nd
+    {0, true, 160, 77, 0x6b6caa05954d735aULL},  // max16/7 @100;2nd
+    {1, false, 160, 83, 0xa55c3028e20b5902ULL},  // max16/8 @1
+    {1000, false, 160, 82, 0xb1ab84298e2bdf2cULL},  // max16/8 @1000
+    {60000, false, 160, 71, 0x51600a3d3ded67d1ULL},  // max16/8 @60000
+    {156070, false, 160, 67, 0xf1ce87b360d7c387ULL},  // max16/8 @F-1
+    {156071, true, 160, 67, 0xf1ce87b360d7c387ULL},  // max16/8 @F
+    {156071, true, 160, 67, 0xf1ce87b360d7c387ULL},  // max16/8 @F+1
+    {0, true, 160, 83, 0xa55c3028e20b5902ULL},  // max16/8 @1;2nd
+    {0, true, 160, 82, 0x33b240b2998455bfULL},  // max16/8 @100;2nd
+    {1, false, 160, 95, 0xb489809e0661db40ULL},  // max16/9 @1
+    {1000, false, 160, 94, 0xabf25eadb8ea1076ULL},  // max16/9 @1000
+    {60000, false, 160, 77, 0x8f3fc2cbd952afa0ULL},  // max16/9 @60000
+    {158978, false, 160, 68, 0xe5d3ccef40b2f6caULL},  // max16/9 @F-1
+    {158979, true, 160, 68, 0xe5d3ccef40b2f6caULL},  // max16/9 @F
+    {158979, true, 160, 68, 0xe5d3ccef40b2f6caULL},  // max16/9 @F+1
+    {0, true, 160, 95, 0xb489809e0661db40ULL},  // max16/9 @1;2nd
+    {0, true, 160, 95, 0x8f68a955fa4d5906ULL},  // max16/9 @100;2nd
+    {1, false, 160, 97, 0x2a42211415a23bc1ULL},  // max16/10 @1
+    {1000, false, 160, 92, 0x3c56cd0af5dcfef8ULL},  // max16/10 @1000
+    {60000, false, 160, 77, 0xe523a5b18e0b4bb2ULL},  // max16/10 @60000
+    {150623, false, 160, 76, 0xa7c495352372d58dULL},  // max16/10 @F-1
+    {150624, true, 160, 76, 0xa7c495352372d58dULL},  // max16/10 @F
+    {150624, true, 160, 76, 0xa7c495352372d58dULL},  // max16/10 @F+1
+    {0, true, 160, 97, 0x2a42211415a23bc1ULL},  // max16/10 @1;2nd
+    {0, true, 160, 97, 0x2a42211415a23bc1ULL},  // max16/10 @100;2nd
+    {1, false, 160, 107, 0xb24af46483f85f0eULL},  // max16/11 @1
+    {1000, false, 160, 103, 0xe9aefda0b502d495ULL},  // max16/11 @1000
+    {60000, false, 160, 89, 0x24474b1f4d525ea5ULL},  // max16/11 @60000
+    {144444, false, 160, 80, 0x943d46af94271459ULL},  // max16/11 @F-1
+    {144445, true, 160, 80, 0x943d46af94271459ULL},  // max16/11 @F
+    {144445, true, 160, 80, 0x943d46af94271459ULL},  // max16/11 @F+1
+    {0, true, 160, 107, 0xb24af46483f85f0eULL},  // max16/11 @1;2nd
+    {0, true, 160, 107, 0xb24af46483f85f0eULL},  // max16/11 @100;2nd
+    {1, false, 76, 10, 0x86cf71144e064488ULL},  // uni12/0 @1
+    {1000, false, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @1000
+    {60000, false, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @60000
+    {89124, false, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @F-1
+    {89125, true, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @F
+    {89125, true, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @F+1
+    {0, true, 76, 10, 0x86cf71144e064488ULL},  // uni12/0 @1;2nd
+    {62858, true, 160, 10, 0x86cf71144e064488ULL},  // uni12/0 @100;2nd
+    {1, false, 119, 16, 0xed224dd76a82ba1dULL},  // uni12/1 @1
+    {1000, false, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @1000
+    {60000, false, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @60000
+    {101229, false, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @F-1
+    {101230, true, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @F
+    {101230, true, 160, 14, 0x89b28b22ad2098faULL},  // uni12/1 @F+1
+    {0, true, 119, 16, 0xed224dd76a82ba1dULL},  // uni12/1 @1;2nd
+    {38104, true, 160, 15, 0x82c1e7b350c292f1ULL},  // uni12/1 @100;2nd
+    {1, false, 120, 15, 0x4c23540641549cd0ULL},  // uni12/2 @1
+    {1000, false, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @1000
+    {60000, false, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @60000
+    {103263, false, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @F-1
+    {103264, true, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @F
+    {103264, true, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @F+1
+    {0, true, 120, 15, 0x4c23540641549cd0ULL},  // uni12/2 @1;2nd
+    {36659, true, 160, 15, 0x4c23540641549cd0ULL},  // uni12/2 @100;2nd
+    {1, false, 101, 14, 0xe78440194a8fba89ULL},  // uni12/3 @1
+    {1000, false, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @1000
+    {60000, false, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @60000
+    {98082, false, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @F-1
+    {98083, true, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @F
+    {98083, true, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @F+1
+    {0, true, 101, 14, 0xe78440194a8fba89ULL},  // uni12/3 @1;2nd
+    {51608, true, 160, 14, 0xe78440194a8fba89ULL},  // uni12/3 @100;2nd
+    {1, false, 120, 15, 0x287e979128c81cc2ULL},  // uni12/4 @1
+    {1000, false, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @1000
+    {60000, false, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @60000
+    {103282, false, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @F-1
+    {103283, true, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @F
+    {103283, true, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @F+1
+    {0, true, 120, 15, 0x287e979128c81cc2ULL},  // uni12/4 @1;2nd
+    {35732, true, 160, 15, 0x287e979128c81cc2ULL},  // uni12/4 @100;2nd
+    {1, false, 104, 15, 0x566537344a7e3b38ULL},  // uni12/5 @1
+    {1000, false, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @1000
+    {60000, false, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @60000
+    {99588, false, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @F-1
+    {99589, true, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @F
+    {99589, true, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @F+1
+    {0, true, 104, 15, 0x566537344a7e3b38ULL},  // uni12/5 @1;2nd
+    {48516, true, 160, 15, 0x566537344a7e3b38ULL},  // uni12/5 @100;2nd
+    {1, false, 93, 18, 0x764b16d42298f562ULL},  // uni12/6 @1
+    {1000, false, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @1000
+    {60000, false, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @60000
+    {97116, false, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @F-1
+    {97117, true, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @F
+    {97117, true, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @F+1
+    {0, true, 93, 18, 0x764b16d42298f562ULL},  // uni12/6 @1;2nd
+    {55935, true, 160, 18, 0x764b16d42298f562ULL},  // uni12/6 @100;2nd
+    {1, false, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @1
+    {1000, false, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @1000
+    {60000, false, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @60000
+    {111963, false, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @F-1
+    {111964, true, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @F
+    {111964, true, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @F+1
+    {0, true, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @1;2nd
+    {0, true, 160, 29, 0x74512e3328aa90aaULL},  // uni12/7 @100;2nd
+    {1, false, 119, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @1
+    {1000, false, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @1000
+    {60000, false, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @60000
+    {103325, false, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @F-1
+    {103326, true, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @F
+    {103326, true, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @F+1
+    {0, true, 119, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @1;2nd
+    {38093, true, 160, 20, 0xcc939f27c856eb58ULL},  // uni12/8 @100;2nd
+    {1, false, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @1
+    {1000, false, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @1000
+    {60000, false, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @60000
+    {109830, false, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @F-1
+    {109831, true, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @F
+    {109831, true, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @F+1
+    {0, true, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @1;2nd
+    {0, true, 160, 33, 0x981642a1190e7832ULL},  // uni12/9 @100;2nd
+    {1, false, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @1
+    {1000, false, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @1000
+    {60000, false, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @60000
+    {106827, false, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @F-1
+    {106828, true, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @F
+    {106828, true, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @F+1
+    {0, true, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @1;2nd
+    {0, true, 160, 25, 0x34de92768941c0adULL},  // uni12/10 @100;2nd
+    {1, false, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @1
+    {1000, false, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @1000
+    {60000, false, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @60000
+    {110107, false, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @F-1
+    {110108, true, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @F
+    {110108, true, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @F+1
+    {0, true, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @1;2nd
+    {0, true, 160, 29, 0xaa1f93eb1eb5b7d8ULL},  // uni12/11 @100;2nd
+    {1, false, 7, 2, 0xb5eb30843302d9cfULL},  // {5,45} @1
+    {1000, false, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @1000
+    {6112, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @60000
+    {6111, false, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @F-1
+    {6112, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @F
+    {6112, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @F+1
+    {0, true, 7, 2, 0xb5eb30843302d9cfULL},  // {5,45} @1;2nd
+    {5934, true, 64, 2, 0xb5eb30843302d9cfULL},  // {5,45} @100;2nd
+    {1, false, 31, 9, 0x9655b0ee1d4d425aULL},  // {3,11,45,105,999} @1
+    {1000, false, 160, 7, 0x6da086ae0d1a1097ULL},  // {3,11,45,105,999} @1000
+    {60000, false, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @60000
+    {76354, false, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @F-1
+    {76355, true, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @F
+    {76355, true, 160, 7, 0x4a9861f8b7e6479aULL},  // {3,11,45,105,999} @F+1
+    {0, true, 31, 9, 0x9655b0ee1d4d425aULL},  // {3,11,45,105,999} @1;2nd
+    {71349, true, 160, 7, 0xe1e5f9261da17ed2ULL},  // {3,11,45,105,999} @100;2nd
+    {1, false, 4, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @1
+    {1000, false, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @1000
+    {60000, false, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @60000
+    {387146, false, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @F-1
+    {387147, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @F
+    {387147, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @F+1
+    {301550, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @1;2nd
+    {386936, true, 160, 2, 0x544f942590279116ULL},  // {2^41+2^17-1} @100;2nd
+};
+
+TEST(EGraph, GoldenAtBudgetBoundaries) {
+  const std::vector<GoldenCase> cases = golden_cases();
+  ASSERT_EQ(inputs_digest(cases), kGoldenInputsDigest)
+      << "the seed plans changed (mrpf driver, catalog or quantizer), not "
+         "the e-graph; recapture kBoundaryRuns from the new seeds";
+  ASSERT_EQ(std::size(kBoundaryRuns), 8 * cases.size());
+  const GoldenRun* want = kBoundaryRuns;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GoldenCase& c = cases[i];
+    const GoldenRun& fixpoint_run = kGoldenRuns[2 * i + 1];
+    ASSERT_TRUE(fixpoint_run.saturated) << c.name;
+    const long long fixpoint = fixpoint_run.steps;
+    for (const long long budget : {1LL, 1'000LL, 60'000LL, fixpoint - 1,
+                                   fixpoint, fixpoint + 1}) {
+      xform::EGraph graph(c.plan_ops, c.targets);
+      expect_golden_run(graph, budget, *want++,
+                        c.name + " @" + std::to_string(budget));
+    }
+    for (const long long first : {1LL, 100LL}) {
+      xform::EGraph graph(c.plan_ops, c.targets);
+      graph.saturate(first);
+      expect_golden_run(graph, 500'000, *want++,
+                        c.name + " @" + std::to_string(first) + ";2nd");
     }
   }
 }
