@@ -23,8 +23,10 @@
 // which minimal chains for constants this size are known to be found; the
 // result is exact within that canonical search space.
 //
-// The budget is counted in deterministic search steps (candidate
-// generation), never wall time, so a budget-limited outcome is
+// The budget is counted in deterministic search steps, never wall time:
+// a node costs one step plus one per candidate it generates (every
+// ordered pair, shift and sign whose odd result is new and within the
+// cap, duplicates included), so a budget-limited outcome is
 // bit-reproducible across machines and thread counts.
 #pragma once
 
@@ -43,7 +45,8 @@ struct BnbOptions {
   /// (the greedy plan stands, tagged kSkipped) — the search space grows
   /// too fast for a budget to do useful work.
   int max_targets = 10;
-  /// Targets wider than this many bits skip likewise.
+  /// Targets wider than this many bits skip likewise. At most 20: the
+  /// search keeps bitsets over the odd values up to 2^(max_bits + 2).
   int max_bits = 20;
 };
 
