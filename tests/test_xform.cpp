@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph_digest.hpp"
 #include "mrpf/arch/adder_graph.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/hash.hpp"
@@ -135,18 +136,6 @@ std::vector<i64> odd_targets(const std::vector<i64>& bank) {
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   return targets;
-}
-
-/// Folds every field of `ops`, in order, into the FNV-1a digest `h`.
-u64 ops_digest(const std::vector<arch::AdderOp>& ops, u64 h) {
-  for (const arch::AdderOp& op : ops) {
-    h = fnv1a64_word(static_cast<u64>(op.a), h);
-    h = fnv1a64_word(static_cast<u64>(op.b), h);
-    h = fnv1a64_word(static_cast<u64>(op.shift_a), h);
-    h = fnv1a64_word(static_cast<u64>(op.shift_b), h);
-    h = fnv1a64_word(op.subtract ? 1 : 0, h);
-  }
-  return h;
 }
 
 /// FNV-1a digest of an extraction: every op field in order, then each
