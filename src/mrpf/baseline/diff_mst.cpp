@@ -51,6 +51,10 @@ std::pair<int, std::vector<int>> root_tree(
 
 DiffMstResult diff_mst_optimize(const std::vector<i64>& constants,
                                 number::NumberRep rep) {
+  // Constants that fit 61 bits keep every pairwise difference inside i64.
+  for (const i64 c : constants) {
+    MRPF_CHECK(bit_width_abs(c) <= 61, "diff_mst: constant exceeds 61 bits");
+  }
   DiffMstResult r;
   r.uniques = unique_nonzero(constants);
   const int n = static_cast<int>(r.uniques.size());

@@ -26,7 +26,8 @@ struct DiffMstResult {
 };
 
 /// Runs the transform over the constant bank (zeros skipped, duplicates
-/// merged) and reports the analytic adder cost.
+/// merged) and reports the analytic adder cost. Throws mrpf::Error on a
+/// constant wider than 61 bits, the CSD conversion's range.
 DiffMstResult diff_mst_optimize(const std::vector<i64>& constants,
                                 number::NumberRep rep);
 
