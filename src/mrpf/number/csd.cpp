@@ -1,16 +1,26 @@
 #include "mrpf/number/csd.hpp"
 
 #include <bit>
-#include <limits>
 
 #include "mrpf/common/error.hpp"
 
 namespace mrpf::number {
 
-SignedDigitVector to_csd(i64 v) {
-  MRPF_CHECK(v > std::numeric_limits<i64>::min() / 4 &&
-                 v < std::numeric_limits<i64>::max() / 4,
+namespace {
+
+// |v| <= 2^61 - 1 for either sign: the 61-bit limit RAG-n, diff-MST and
+// the e-graph check too. It also keeps 3|v| in csd_weight inside u64.
+constexpr int kMaxCsdBits = 61;
+
+void check_csd_range(i64 v) {
+  MRPF_CHECK(bit_width_abs(v) <= kMaxCsdBits,
              "CSD conversion operand too large");
+}
+
+}  // namespace
+
+SignedDigitVector to_csd(i64 v) {
+  check_csd_range(v);
   std::vector<SignedDigit> digits;
   // Classic recoding: examine v mod 4 to decide each digit; appending -1
   // when v ≡ 3 (mod 4) guarantees the next digit is 0 (canonical property).
@@ -32,9 +42,7 @@ SignedDigitVector to_csd(i64 v) {
 }
 
 int csd_weight(i64 v) {
-  MRPF_CHECK(v > std::numeric_limits<i64>::min() / 4 &&
-                 v < std::numeric_limits<i64>::max() / 4,
-             "CSD conversion operand too large");
+  check_csd_range(v);
   // Closed form instead of materializing the digit vector: the CSD (NAF)
   // of u has a nonzero digit exactly at the positions where u XOR 3u has a
   // set bit, so the weight is one popcount. This runs once per color class

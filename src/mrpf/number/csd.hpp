@@ -12,10 +12,11 @@
 namespace mrpf::number {
 
 /// CSD digits of v (LSB first, trimmed). to_csd(0) is the empty vector.
+/// Throws mrpf::Error unless |v| <= 2^61 - 1.
 SignedDigitVector to_csd(i64 v);
 
 /// Number of nonzero CSD digits of v — the minimal signed-power-of-two
-/// term count. csd_weight(0) == 0.
+/// term count. csd_weight(0) == 0. Same range as to_csd.
 int csd_weight(i64 v);
 
 }  // namespace mrpf::number

@@ -260,6 +260,25 @@ TEST(Csd, WeightClosedFormMatchesDigitVector) {
   }
 }
 
+TEST(Csd, RangeIsSymmetricAtSixtyOneBits) {
+  // |v| <= 2^61 - 1 converts for either sign, and 2^61 throws for either.
+  const i64 max = (i64{1} << 61) - 1;
+  for (const i64 v : {max, -max}) {
+    const SignedDigitVector d = to_csd(v);
+    i128 sum = 0;
+    for (std::size_t k = 0; k < d.size(); ++k) {
+      sum += static_cast<i128>(d[k]) << k;
+    }
+    EXPECT_EQ(sum, static_cast<i128>(v)) << v;
+    EXPECT_TRUE(d.is_canonical()) << v;
+    EXPECT_EQ(csd_weight(v), d.nonzero_count()) << v;
+  }
+  for (const i64 v : {max + 1, -(max + 1)}) {
+    EXPECT_THROW(to_csd(v), Error) << v;
+    EXPECT_THROW(csd_weight(v), Error) << v;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Wordlengths, QuantizeErrorBound,
                          ::testing::Values(8, 10, 12, 14, 16, 20));
 

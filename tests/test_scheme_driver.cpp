@@ -13,6 +13,7 @@
 
 #include "mrpf/cache/persist.hpp"
 #include "mrpf/cache/solve_cache.hpp"
+#include "mrpf/common/error.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
 #include "mrpf/core/scheme.hpp"
@@ -156,6 +157,24 @@ std::string temp_store(const std::string& name) {
   const std::string path = ::testing::TempDir() + "mrpf_" + name + ".mrpc";
   std::remove(path.c_str());
   return path;
+}
+
+TEST(SchemeDriver, SixtyOneBitConstantHasOneOutcomeForEitherSign) {
+  // c = 2^61 - 1 sits on the 61-bit limit the CSD conversion shares with
+  // RAG-n, diff-MST and the e-graph, so whether a scheme solves {c} or
+  // throws cannot depend on the sign of c.
+  const i64 c = (i64{1} << 61) - 1;
+  const auto outcome = [](const std::vector<i64>& bank, core::Scheme s) {
+    try {
+      return "adders " +
+             std::to_string(core::optimize_bank(bank, s).multiplier_adders);
+    } catch (const Error& e) {
+      return std::string("error: ") + e.what();
+    }
+  };
+  for (const core::Scheme s : core::all_schemes()) {
+    EXPECT_EQ(outcome({c}, s), outcome({-c}, s)) << core::to_string(s);
+  }
 }
 
 TEST(SchemeDriver, CachedEqualsFreshForEverySchemeAndThreadCount) {
