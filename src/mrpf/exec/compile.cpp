@@ -127,6 +127,16 @@ ExecProgram compile(const arch::TdfFilter& filter) {
       MRPF_CHECK(t.slot >= 0, "exec: tap reads an unallocated slot");
       prog.taps.push_back(t);
     }
+    // --- Tap order: by position mod kRowLanes, then position. Taps at
+    // adjacent positions would make every window load straddle two stores
+    // of the tap before, which defeats store-to-load forwarding; a run of
+    // positions a whole row apart reads back exactly what was stored.
+    std::sort(prog.taps.begin(), prog.taps.end(),
+              [](const ExecTap& l, const ExecTap& r) {
+                const std::size_t lr = l.position % kRowLanes;
+                const std::size_t rr = r.position % kRowLanes;
+                return lr != rr ? lr < rr : l.position < r.position;
+              });
 
     // --- Width analysis: find the widest signed input for which every
     // intermediate provably fits int64, so the engine's wrap arithmetic is

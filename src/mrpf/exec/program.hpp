@@ -49,13 +49,22 @@ struct ExecTap {
   std::size_t position = 0;  ///< Output delay index (0 = current sample).
 };
 
+/// Lanes in one 64-byte row: the widest vector the engine runs. Each slot
+/// of an engine's slot file is a whole number of rows, and compile()
+/// orders the taps by position mod kRowLanes.
+inline constexpr std::size_t kRowLanes = 8;
+
 /// A compiled, topologically scheduled execution program over int64 lanes.
 struct ExecProgram {
   std::size_t n_taps = 0;  ///< Total tap positions, including zero taps.
   int n_slots = 0;         ///< Register-slot file size after lifetime reuse.
   int input_slot = 0;      ///< Slot the input sample block is loaded into.
   std::vector<ExecOp> ops;   ///< Dead-op-free, in dependency order.
-  std::vector<ExecTap> taps; ///< Live taps, ascending position.
+  /// Live taps, ordered by (position mod kRowLanes, position). Within one
+  /// residue the positions differ by whole rows, so each vector the engine
+  /// loads from the output window is exactly one vector the tap before
+  /// stored, and the store forwards to the load.
+  std::vector<ExecTap> taps;
 
   /// Source-graph op count before dead-op elimination (observability).
   int source_ops = 0;

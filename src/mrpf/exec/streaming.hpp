@@ -63,6 +63,9 @@ class StreamingFilter {
   ExecMode mode() const { return mode_; }
   /// Lanes of the vector engine; 0 when not on the vector path.
   int lanes() const { return engine_ ? engine_->lanes() : 0; }
+  /// Vector width the engine dispatched to (ExecEngine::vector_bits); 0
+  /// when not on the vector path.
+  int vector_bits() const { return engine_ ? engine_->vector_bits() : 0; }
   /// Compiled program. Valid whenever mode() != kOff at construction.
   const ExecProgram& program() const { return program_; }
   const arch::TdfFilter& filter() const { return filter_; }

@@ -1,12 +1,15 @@
 // The exec module: plan compilation (dead-op elimination, slot reuse,
-// shift/negate fusion, width analysis), lane-blocked engine execution,
-// bit-identity against naive convolution on the catalog, streaming
-// push/reset semantics, batch channels, the MRPF_EXEC knob, and stage
-// timer accumulation.
+// shift/negate fusion, tap order, width analysis), lane-blocked engine
+// execution at every vector width the host supports, bit-identity against
+// naive convolution on the catalog, streaming push/reset semantics, batch
+// channels, the MRPF_EXEC knob, and stage timer accumulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "mrpf/common/env.hpp"
@@ -17,6 +20,7 @@
 #include "mrpf/dsp/convolve.hpp"
 #include "mrpf/exec/compile.hpp"
 #include "mrpf/exec/engine.hpp"
+#include "mrpf/exec/kernel.hpp"
 #include "mrpf/exec/streaming.hpp"
 #include "mrpf/filter/catalog.hpp"
 #include "mrpf/number/quantize.hpp"
@@ -31,6 +35,73 @@ arch::TdfFilter make_filter(core::Scheme scheme = core::Scheme::kMrp,
                             const std::vector<i64>& coeffs = kBank,
                             const std::vector<int>& align = {}) {
   return core::build_tdf(coeffs, align, scheme);
+}
+
+// A multiplier block with an op of every kind the kernel tells apart:
+// self-ops (a == b) and two-operand ops, add and subtract, with both
+// shifts, one shift or no shift at 0 (a self-subtract needs unequal
+// shifts, or it computes 0). Every node feeds a tap, so no op is dead,
+// and taps on even nodes read them with negative fused shifts. Zero taps
+// leave gaps, and the 21 positions span three rows of the window.
+arch::TdfFilter every_kind_filter() {
+  struct OpSpec {
+    int a, sa, b, sb;
+    bool subtract;
+  };
+  const OpSpec ops[] = {
+      {0, 2, 0, 0, false},  // 5:   self, add, shift a only
+      {0, 0, 0, 3, false},  // 9:   self, add, shift b only
+      {0, 1, 0, 1, false},  // 4:   self, add, equal shifts
+      {1, 0, 1, 0, false},  // 10:  self, add, no shift
+      {0, 3, 0, 0, true},   // 7:   self, subtract, shift a only
+      {0, 0, 0, 2, true},   // -3:  self, subtract, shift b only
+      {0, 2, 0, 1, true},   // 2:   self, subtract, both shifts
+      {1, 0, 2, 0, false},  // 14:  add, no shift
+      {1, 1, 2, 0, false},  // 19:  add, shift a only
+      {5, 0, 6, 2, false},  // -5:  add, shift b only
+      {1, 2, 5, 1, false},  // 34:  add, both shifts
+      {1, 0, 2, 0, true},   // -4:  subtract, no shift
+      {5, 1, 1, 0, true},   // 9:   subtract, shift a only
+      {2, 0, 6, 1, true},   // 15:  subtract, shift b only
+      {4, 2, 5, 1, true},   // 26:  subtract, both shifts
+      {0, 1, 0, 2, false},  // 6:   self, add, unequal shifts
+  };
+  arch::MultiplierBlock block;
+  for (const OpSpec& o : ops) {
+    block.graph.add_op(o.a, o.sa, o.b, o.sb, o.subtract);
+  }
+  const int n_nodes = block.graph.num_nodes();
+  const std::size_t n_taps = static_cast<std::size_t>(n_nodes + n_nodes / 4);
+  block.taps.assign(n_taps, arch::Tap{});
+  block.constants.assign(n_taps, 0);
+  for (int node = 0; node < n_nodes; ++node) {
+    const i64 f = block.graph.fundamental(node);
+    arch::Tap tap;
+    tap.node = node;
+    tap.shift = f % 2 == 0 ? -1 : node % 3;
+    tap.negate = node % 2 == 1;
+    const i64 magnitude = tap.shift < 0 ? f >> -tap.shift : f << tap.shift;
+    tap.constant = tap.negate ? -magnitude : magnitude;
+    const std::size_t position = static_cast<std::size_t>(node + node / 4);
+    block.taps[position] = tap;
+    block.constants[position] = tap.constant;
+  }
+  block.verify({1, -3, 7});
+  std::vector<i64> coeffs = block.constants;
+  return arch::TdfFilter(std::move(coeffs), {}, std::move(block));
+}
+
+// The instantiations of the block kernel this host can run: 256 bits
+// everywhere, 512 bits where the CPU has AVX-512F.
+std::vector<std::pair<int, detail::BlockKernel>> host_kernels() {
+  std::vector<std::pair<int, detail::BlockKernel>> kernels = {
+      {256, detail::run_block_256}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) {
+    kernels.emplace_back(512, detail::run_block_512);
+  }
+#endif
+  return kernels;
 }
 
 TEST(ExecCompile, ProgramShapeAndWidthAnalysis) {
@@ -90,6 +161,90 @@ TEST(ExecCompile, FusesAlignmentIntoTapShift) {
     const int k = static_cast<int>(pa.taps[i].position);
     EXPECT_EQ(pa.taps[i].shift - pp.taps[i].shift, align[k]) << i;
   }
+}
+
+TEST(ExecCompile, TapsRunInForwardingOrder) {
+  // Live taps ordered by (position mod 8, position): within a residue the
+  // positions are whole rows apart. The order is a permutation of the
+  // nonzero coefficients' positions.
+  std::vector<arch::TdfFilter> filters = {every_kind_filter()};
+  for (const core::Scheme s : core::all_schemes()) {
+    filters.push_back(make_filter(s));
+  }
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    filters.push_back(core::build_tdf(
+        number::quantize_maximal(filter::catalog_coefficients(i), 16),
+        core::Scheme::kMrp));
+  }
+  for (std::size_t f = 0; f < filters.size(); ++f) {
+    const ExecProgram p = compile(filters[f]);
+    std::vector<std::size_t> positions;
+    for (std::size_t k = 0; k < p.n_taps; ++k) {
+      if (filters[f].coefficients()[k] != 0) positions.push_back(k);
+    }
+    std::vector<std::size_t> want = positions;
+    std::stable_sort(
+        want.begin(), want.end(),
+        [](std::size_t l, std::size_t r) { return l % 8 < r % 8; });
+    std::vector<std::size_t> got;
+    for (const ExecTap& t : p.taps) got.push_back(t.position);
+    EXPECT_EQ(got, want) << "filter " << f;
+  }
+}
+
+TEST(ExecKernel, EveryWidthMatchesTheInterpreterOnEveryOpKind) {
+  // Both instantiations of the block kernel, called directly so that an
+  // AVX-512 host still runs the 256-bit one, on programs that hold every
+  // op kind and negative fused tap shifts, at lane widths that end blocks
+  // mid-vector and mid-row, fed in chunks that end blocks mid-stream.
+  const arch::TdfFilter kinds = every_kind_filter();
+  const ExecProgram kp = compile(kinds);
+  ASSERT_EQ(kp.ops.size(), 16u);  // no op is dead
+  std::set<int> op_kinds;
+  for (const ExecOp& op : kp.ops) {
+    op_kinds.insert((op.subtract ? 8 : 0) | (op.a == op.b ? 4 : 0) |
+                    (op.shift_a != 0 ? 2 : 0) | (op.shift_b != 0 ? 1 : 0));
+  }
+  // Every kind but a self-subtract without shifts, which computes 0.
+  EXPECT_EQ(op_kinds.size(), 15u);
+  EXPECT_EQ(op_kinds.count(8 | 4), 0u);
+  int negative_shifts = 0;
+  for (const ExecTap& t : kp.taps) negative_shifts += t.shift < 0 ? 1 : 0;
+  EXPECT_GE(negative_shifts, 3);
+
+  Rng rng(0xE8);
+  std::vector<i64> x = sim::uniform_stream(rng, 4096 + 291, 20);
+  for (std::size_t i = 0; i < x.size(); i += 5) x[i] = -std::abs(x[i]) - 1;
+  const std::vector<arch::TdfFilter> filters = {kinds, make_filter()};
+  for (const arch::TdfFilter& f : filters) {
+    const ExecProgram p = compile(f);
+    ASSERT_GE(p.max_input_bits, 20);
+    const std::vector<i64> expect = f.run(x);
+    for (const auto& [bits, kernel] : host_kernels()) {
+      for (const int lanes : {0, 1, 3, 4, 5, 7, 8, 9, 63, 64}) {
+        for (const std::size_t chunk : {1, 3, 32, 37, 4096}) {
+          detail::BlockState state(p, lanes);
+          std::vector<i64> y(x.size());
+          for (std::size_t at = 0; at < x.size(); at += chunk) {
+            detail::run_blocks(kernel, state, x.data() + at, y.data() + at,
+                               std::min(chunk, x.size() - at));
+          }
+          EXPECT_EQ(y, expect) << bits << "-bit kernel, lanes=" << lanes
+                               << ", chunk=" << chunk;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecEngine, DispatchesToTheWidestVectorsTheCpuHas) {
+  const ExecProgram p = compile(make_filter());
+  EXPECT_EQ(ExecEngine(p).vector_bits(), host_kernels().back().first);
+  ExecConfig config;
+  EXPECT_EQ(StreamingFilter(make_filter(), config).vector_bits(),
+            host_kernels().back().first);
+  config.mode = ExecMode::kInterp;
+  EXPECT_EQ(StreamingFilter(make_filter(), config).vector_bits(), 0);
 }
 
 TEST(ExecEngine, MatchesInterpreterForEverySchemeAndLaneWidth) {
@@ -218,13 +373,16 @@ TEST(ExecEngine, RunBatchMatchesSerialPerChannel) {
 }
 
 TEST(ExecEngine, CatalogStreamsEqualNaiveConvolutionInEveryRunMode) {
-  // Catalog filters 0-3 (W=16, maximally scaled) under mrpf, and filter 0
-  // under every other scheme: 8192 samples at the widest input the
-  // compiled path proves exact, capped at 16 bits. The interpreter, the
-  // compiled engine, a randomly chunked StreamingFilter on the vector
-  // engine and four run_batch channels all reproduce naive convolution.
+  // Every catalog filter (W=16, maximally scaled) under mrpf, the filters
+  // perfbench `stream` runs, and filter 0 under every other scheme: 8192
+  // samples at the widest input the compiled path proves exact, capped at
+  // 16 bits. The interpreter, the compiled engine, a randomly chunked
+  // StreamingFilter on the vector engine and four run_batch channels all
+  // reproduce naive convolution.
   std::vector<std::pair<int, core::Scheme>> rows;
-  for (int i = 0; i < 4; ++i) rows.emplace_back(i, core::Scheme::kMrp);
+  for (int i = 0; i < filter::catalog_size(); ++i) {
+    rows.emplace_back(i, core::Scheme::kMrp);
+  }
   for (const core::Scheme s : core::all_schemes()) {
     if (s != core::Scheme::kMrp) rows.emplace_back(0, s);
   }

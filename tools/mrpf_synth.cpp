@@ -334,10 +334,12 @@ int main(int argc, char** argv) {
       const double compiled_ns = wall_ns([&] { y = sf.push(x); });
       const bool same = y == expect;
       std::printf(
-          "exec bench  : %d->%zu ops, %d slots, %s x%d, B<=%d | %zu "
-          "samples: interp %.0f ns, compiled %.0f ns (%.2fx) | %s\n",
+          "exec bench  : %d->%zu ops, %d slots, %s x%d, %d-bit vectors, "
+          "B<=%d | %zu samples: interp %.0f ns, compiled %.0f ns (%.2fx) | "
+          "%s\n",
           program.source_ops, program.ops.size(), program.n_slots,
-          exec::to_string(sf.mode()), sf.lanes(), program.max_input_bits,
+          exec::to_string(sf.mode()), sf.lanes(), sf.vector_bits(),
+          program.max_input_bits,
           x.size(), interp_ns, compiled_ns, interp_ns / compiled_ns,
           same ? "bit-identical" : "MISMATCH");
       if (!same) return 1;
